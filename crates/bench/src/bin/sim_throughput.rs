@@ -9,13 +9,15 @@
 //! ```text
 //! cargo run -p pei-bench --release --bin sim_throughput -- \
 //!     [--scale quick|full] [--paper] [--seed <n>] [--repeat <n>] [--label <s>] [--out <path>] \
-//!     [--append] [--traced] [--checked] [--shards <n>]
+//!     [--traced] [--checked]
 //! ```
 //!
 //! Runs are strictly serial (`jobs` is fixed at 1) so wall-clock time
-//! divides cleanly into per-run throughput. With `--append`, the new
-//! record is spliced into the existing JSON array at `--out` instead of
-//! replacing it, so the checked-in file accumulates a history.
+//! divides cleanly into per-run throughput. The new record is spliced
+//! into the JSON array at `--out` (a missing file starts a new array),
+//! so the checked-in file accumulates a history; a file that is not a
+//! JSON array is left untouched and the run exits with an error.
+//! `--paper` selects the paper-scale machine.
 //!
 //! `--traced` attaches a [`pei_trace::NullSink`] to every measured run:
 //! the simulator takes the full per-event capture path (interning
@@ -29,15 +31,6 @@
 //! default interval, so the delta against an unchecked run measures the
 //! sanitizer's overhead (EXPERIMENTS.md §"Checked-mode overhead").
 //! Simulated results are likewise identical — sweeps observe only.
-//!
-//! `--shards <n>` runs every measured cell on the sharded engine
-//! (`System::run_sharded`, DESIGN.md §10) with `n` threads; pair a
-//! `--shards 1` record with a `--shards <n>` record (ideally `--paper`,
-//! whose 8 cubes give the partition real width) to measure intra-run
-//! parallel speedup (EXPERIMENTS.md §"Sharded-engine speedup"). The
-//! sharded schedule is a different valid event ordering than the
-//! sequential engine's, so compare sharded records against sharded
-//! baselines. `--paper` selects the paper-scale machine.
 //!
 //! `--fork-bench` measures warm-state forking instead of the per-cell
 //! mix: a four-policy × three-workload grid is run twice — once cold
@@ -82,7 +75,6 @@ struct Args {
     repeat: usize,
     label: String,
     out: String,
-    append: bool,
     traced: bool,
     checked: bool,
     fork_bench: bool,
@@ -96,7 +88,6 @@ fn parse_args() -> Args {
     let mut repeat = 3;
     let mut label = String::from("dev");
     let mut out = String::from("BENCH_sim_throughput.json");
-    let mut append = false;
     let mut traced = false;
     let mut checked = false;
     let mut fork_bench = false;
@@ -128,22 +119,12 @@ fn parse_args() -> Args {
             }
             "--label" => label = args.next().expect("--label needs a string"),
             "--out" => out = args.next().expect("--out needs a path"),
-            "--append" => append = true,
             "--traced" => traced = true,
             "--checked" => checked = true,
             "--fork-bench" => fork_bench = true,
             "--paper" => opts.paper_machine = true,
-            "--shards" => {
-                let n: usize = args
-                    .next()
-                    .expect("--shards needs a number")
-                    .parse()
-                    .expect("shards must be an integer");
-                assert!(n >= 1, "--shards must be at least 1");
-                opts.shards = Some(n);
-            }
             other => panic!(
-                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --append, --traced, --checked, --shards, --fork-bench)"
+                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --traced, --checked, --fork-bench)"
             ),
         }
     }
@@ -152,7 +133,6 @@ fn parse_args() -> Args {
         repeat,
         label,
         out,
-        append,
         traced,
         checked,
         fork_bench,
@@ -178,13 +158,12 @@ fn record_json(args: &Args, runs: &[Measured]) -> String {
     let mut s = String::new();
     let _ = write!(
         s,
-        "  {{\n    \"label\": \"{}\",\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"shards\": {},\n    \"runs\": [",
+        "  {{\n    \"label\": \"{}\",\n    \"scale\": \"{scale}\",\n    \"paper\": {},\n    \"seed\": {},\n    \"traced\": {},\n    \"checked\": {},\n    \"runs\": [",
         args.label,
         args.opts.paper_machine,
         args.opts.seed,
         args.traced,
         args.checked,
-        args.opts.shards.map_or("null".into(), |n: usize| n.to_string()),
     );
     let (mut ev_tot, mut cy_tot, mut wall_tot) = (0u64, 0u64, 0f64);
     for (i, r) in runs.iter().enumerate() {
@@ -252,8 +231,8 @@ fn fork_bench_specs(args: &Args) -> Vec<RunSpec> {
 /// sets identical, and returns one row per mode with whole-grid totals.
 fn run_fork_bench(args: &Args) -> Vec<Measured> {
     assert!(
-        args.opts.shards.is_none() && !args.traced,
-        "--fork-bench measures the plain sequential runner (no --shards/--traced)"
+        !args.traced,
+        "--fork-bench measures the plain runner (no --traced)"
     );
     let specs = fork_bench_specs(args);
     let mut rows = Vec::new();
@@ -321,24 +300,38 @@ fn print_row(m: &Measured) {
     );
 }
 
-/// Serializes the record and writes (or `--append`-splices) it to
-/// `--out`.
-fn write_record(args: &Args, runs: &[Measured]) {
-    let record = record_json(args, runs);
-    let body = match std::fs::read_to_string(&args.out) {
-        Ok(existing) if args.append => {
-            // The file is a JSON array of records; splice before the
-            // closing bracket. Fall back to replacing on any mismatch.
-            match existing.trim_end().strip_suffix(']') {
-                Some(head) if head.trim_start().starts_with('[') => {
-                    format!("{},\n{record}\n]\n", head.trim_end())
-                }
-                _ => format!("[\n{record}\n]\n"),
+/// Splices `record` into the JSON array at `path`, creating the file
+/// (a one-record array) if it does not exist. Refuses, leaving the file
+/// as it is, when the file is not a JSON array.
+fn append_record(path: &str, record: &str) -> Result<(), String> {
+    let body = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => format!("[\n{record}\n]\n"),
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
+        Ok(existing) => {
+            let items = pei_types::json::Json::parse(&existing)
+                .ok()
+                .and_then(|j| j.as_arr().map(<[_]>::len))
+                .ok_or(format!("{path} is not a JSON array; not overwriting it"))?;
+            let head = existing
+                .trim_end()
+                .strip_suffix(']')
+                .expect("parsed as an array");
+            if items == 0 {
+                format!("[\n{record}\n]\n")
+            } else {
+                format!("{},\n{record}\n]\n", head.trim_end())
             }
         }
-        _ => format!("[\n{record}\n]\n"),
     };
-    std::fs::write(&args.out, body).expect("write BENCH_sim_throughput.json");
+    std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Serializes the record and appends it to `--out`.
+fn write_record(args: &Args, runs: &[Measured]) {
+    if let Err(e) = append_record(&args.out, &record_json(args, runs)) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
     println!("wrote {}", args.out);
 }
 
@@ -368,7 +361,6 @@ fn main() {
             InputSize::Medium,
         );
         spec.check = args.checked;
-        spec.shards = args.opts.shards;
         // Best-of-N wall time: simulated results are identical across
         // repeats (determinism contract), so the minimum isolates the
         // simulator's speed from scheduler noise on a shared host.
@@ -411,4 +403,35 @@ fn main() {
         cy as f64 / wall,
     );
     write_record(&args, &runs);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn records_accumulate_instead_of_replacing() {
+        let dir = std::env::temp_dir().join(format!("sim-throughput-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bench.json");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        append_record(path, r#"  {"label": "a"}"#).unwrap();
+        append_record(path, r#"  {"label": "b"}"#).unwrap();
+        let body = std::fs::read_to_string(path).unwrap();
+        let records = pei_types::json::Json::parse(&body).unwrap();
+        let labels: Vec<_> = records
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|r| r.get("label").and_then(|l| l.as_str()).unwrap().to_owned())
+            .collect();
+        assert_eq!(labels, ["a", "b"]);
+
+        // A file that is not an array is refused and left as it was.
+        std::fs::write(path, "not json").unwrap();
+        assert!(append_record(path, r#"  {"label": "c"}"#).is_err());
+        assert_eq!(std::fs::read_to_string(path).unwrap(), "not json");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p pei-bench --release --bin trace_bisect -- \
 //!     -w atf -s small --seed 7 --budget 2000 \
-//!     --a policy=la --b policy=bd [--grain 4096] [--check] [--shards N]
+//!     --a policy=la --b policy=bd [--grain 4096] [--check]
 //! ```
 //!
 //! The base cell (workload, size, seed, budget, machine scale) is fixed
@@ -31,7 +31,7 @@ trace_bisect — first divergent cycle between two run variants
 USAGE:
   trace_bisect -w <W> [-s SIZE] [--seed N] [--budget N] [--paper]
                --a KEY=V[,KEY=V...] --b KEY=V[,KEY=V...]
-               [--grain N] [--check] [--shards N] [--scale quick|full]
+               [--grain N] [--check] [--scale quick|full]
 
 VARIANT KEYS:
   policy=host|pim|la|bd    dispatch policy
@@ -86,10 +86,6 @@ fn parse_cli() -> Result<Cli, String> {
             }
             "--paper" => cli.opts.paper_machine = true,
             "--check" => cli.opts.check = true,
-            "--shards" => {
-                let n: usize = value("--shards")?.parse().map_err(|e| format!("{e}"))?;
-                cli.opts.shards = Some(n);
-            }
             "--a" => cli.a = value("--a")?,
             "--b" => cli.b = value("--b")?,
             "--grain" => cli.grain = value("--grain")?.parse().map_err(|e| format!("{e}"))?,
@@ -134,7 +130,6 @@ fn apply_overrides(cli: &Cli, overrides: &str) -> Result<RunSpec, String> {
     }
     let mut spec = RunSpec::sized(cli.opts.machine(policy), params, cli.workload, cli.size);
     spec.check = cli.opts.check;
-    spec.shards = cli.opts.shards;
     Ok(spec)
 }
 

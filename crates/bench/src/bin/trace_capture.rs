@@ -6,7 +6,7 @@
 //! # Capture one cell, writing a replayable trace (and optionally a
 //! # Perfetto/Chrome trace_event JSON next to it):
 //! trace_capture --workload ATF --size medium --policy locality-aware \
-//!     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] [--shards <n>] \
+//!     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] \
 //!     -o out.petr [--perfetto out.json]
 //!
 //! # Re-execute a capture's recipe and verify byte-identity of both the
@@ -23,7 +23,7 @@ use pei_core::DispatchPolicy;
 use pei_trace::{perfetto, Trace};
 
 const USAGE: &str = "trace_capture --workload <W> --size <S> --policy <P> \
-     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] [--shards <n>] -o <out.petr> \
+     [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] -o <out.petr> \
      [--perfetto <out.json>] | --replay <in.petr> | --export <in.petr> --perfetto <out.json>";
 
 struct Args {
@@ -43,7 +43,6 @@ fn parse_args() -> Args {
         paper_machine: false,
         seed: 0x5eed,
         pei_budget: None,
-        shards: None,
     };
     let mut out = None;
     let mut perfetto = None;
@@ -89,13 +88,6 @@ fn parse_args() -> Args {
                         .parse()
                         .expect("budget must be an integer"),
                 );
-            }
-            "--shards" => {
-                let n: usize = next(&mut args, "--shards")
-                    .parse()
-                    .expect("shards must be an integer");
-                assert!(n >= 1, "--shards must be at least 1");
-                spec.shards = Some(n);
             }
             "-o" | "--out" => out = Some(next(&mut args, "-o")),
             "--perfetto" => perfetto = Some(next(&mut args, "--perfetto")),

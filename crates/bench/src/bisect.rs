@@ -20,13 +20,6 @@
 //! holds for any config-level regression because the machines process
 //! different event streams from the divergence point on.
 //!
-//! Both variants must run on the same engine (both sequential or both
-//! sharded): the sequential engine pauses at an exact cycle while the
-//! sharded engine pauses at epoch barriers, so cross-engine probes
-//! would compare states at different cycles. Cross-engine *orderings*
-//! also differ legitimately (DESIGN.md §10), so bisecting one against
-//! the other would report a benign divergence.
-//!
 //! The `trace_bisect` binary is the CLI wrapper over [`bisect`].
 
 use crate::runner::RunSpec;
@@ -97,11 +90,7 @@ fn advance(spec: &RunSpec, from: Option<&Snapshot>, to: u64, traced: bool) -> Re
     if let Some(s) = from {
         sys.restore(s).map_err(|e| format!("restore failed: {e}"))?;
     }
-    let status = match spec.shards {
-        Some(n) => sys.run_sharded_paused(spec.max_cycles, n, Some(to)),
-        None => sys.run_paused(spec.max_cycles, Some(PauseAt::Cycle(to))),
-    };
-    let at = match status {
+    let at = match sys.run_paused(spec.max_cycles, Some(PauseAt::Cycle(to))) {
         RunStatus::Paused { at } => at,
         RunStatus::Completed(r) => r.cycles,
     };
@@ -135,17 +124,14 @@ fn state_eq(a: &Snapshot, b: &Snapshot) -> bool {
 /// `grain` bounds the traced window: the search narrows the divergence
 /// to an interval no wider than `grain` cycles by state comparison
 /// alone, then traces only that window to name the first divergent
-/// record. Both specs must select the same engine; neither may carry a
-/// fault plan (snapshots refuse armed faults).
+/// record. Neither spec may carry a fault plan (snapshots refuse armed
+/// faults).
 ///
 /// # Errors
 ///
 /// Returns a message when a probe cannot snapshot or restore, or when
-/// the specs' engines differ.
+/// a spec carries a fault plan.
 pub fn bisect(a: &RunSpec, b: &RunSpec, grain: u64) -> Result<Bisection, String> {
-    if a.shards.is_some() != b.shards.is_some() {
-        return Err("variants must use the same engine (both --shards or neither)".into());
-    }
     if a.fault.is_some() || b.fault.is_some() {
         return Err("cannot bisect runs with fault plans (snapshots refuse armed faults)".into());
     }
@@ -184,9 +170,8 @@ pub fn bisect(a: &RunSpec, b: &RunSpec, grain: u64) -> Result<Bisection, String>
         let mid = lo + (hi - lo) / 2;
         let sa = advance(a, lo_a.as_ref(), mid, false)?;
         let sb = advance(b, lo_b.as_ref(), mid, false)?;
-        // The sharded engine pauses at epoch barriers, so the actual
-        // stop may overshoot `mid`; if the two variants stop at
-        // different cycles their schedules already diverged there.
+        // A variant that completes before `mid` stops at its own final
+        // cycle; if the two stop at different cycles they diverged.
         let equal = sa.at == sb.at && state_eq(&sa.snap, &sb.snap);
         probes.push(Probe { at: sa.at, equal });
         if equal {
@@ -312,11 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn engine_mismatch_is_rejected() {
+    fn fault_plans_are_rejected() {
         let a = cell(1_000, DispatchPolicy::LocalityAware);
         let mut b = a.clone();
-        b.shards = Some(2);
+        b.fault = Some(pei_system::FaultPlan::new(1));
         let err = bisect(&a, &b, 512).unwrap_err();
-        assert!(err.contains("same engine"), "got: {err}");
+        assert!(err.contains("fault plans"), "got: {err}");
     }
 }

@@ -12,12 +12,6 @@
 //! * `--jobs <n>` — worker threads for the experiment grid (default:
 //!   available parallelism). Tables are byte-identical for every value —
 //!   see [`runner`] and the determinism contract in EXPERIMENTS.md;
-//! * `--shards <n>` — run every cell on the sharded engine
-//!   (`System::run_sharded`) with `n` threads: the machine splits into
-//!   a host shard plus one shard per HMC cube exchanging messages at
-//!   epoch barriers (DESIGN.md §10). Results are byte-identical for
-//!   every `n >= 1`; intra-run parallelism composes with `--jobs`
-//!   (total threads ≈ jobs × shards, so trade one against the other);
 //! * `--check` — checked mode: every run sweeps the simulator's
 //!   cross-component invariant auditors (MESI, MSHR leaks, flit/credit
 //!   conservation, operand accounting, event population; see
@@ -28,6 +22,9 @@
 //!   snapshot across cells that share a pre-PEI prefix (see
 //!   [`runner::run_specs_forked`] and DESIGN.md §11). Results are
 //!   byte-identical either way; forking only saves wall-clock time.
+//!
+//! A bad argument prints the error and [`USAGE`] to stderr and exits
+//! with status 2 (see [`ExpOptions::parse`]).
 //!
 //! Binaries describe their grid as [`runner::RunSpec`]s collected into a
 //! [`runner::Batch`], run it once, and print from the ordered results.
@@ -88,13 +85,6 @@ pub struct ExpOptions {
     /// Worker threads for the experiment grid (`>= 1`). Affects
     /// wall-clock time only, never results.
     pub jobs: usize,
-    /// Run every cell on the sharded engine with this many threads
-    /// (`System::run_sharded`; see DESIGN.md §10). `None` uses the
-    /// sequential engine. Results are identical for every `Some(n)`,
-    /// but the sharded schedule is a *different* (equally valid)
-    /// event ordering than the sequential one, so this is an explicit
-    /// opt-in rather than a default.
-    pub shards: Option<usize>,
     /// If set, also capture the binary's representative cell as an
     /// event trace (`.petr`, see [`tracecap`]) at this path.
     pub trace: Option<std::path::PathBuf>,
@@ -120,7 +110,6 @@ impl Default for ExpOptions {
             paper_machine: false,
             seed: 0x5eed,
             jobs: default_jobs(),
-            shards: None,
             trace: None,
             check: false,
             no_fork: false,
@@ -135,60 +124,70 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// The flags every figure binary accepts, as printed after `usage:`
+/// and the program name.
+pub const USAGE: &str = "[--scale quick|full] [--paper] [--seed <n>] [--jobs <n>] \
+                         [--trace <out.petr>] [--check] [--no-fork]";
+
 impl ExpOptions {
-    /// Parses `std::env::args()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on unknown arguments.
+    /// Parses `std::env::args()`. On a bad argument, prints the error
+    /// and the usage line to stderr and exits with status 2.
     pub fn from_args() -> Self {
+        let mut args = std::env::args();
+        let prog = args.next().unwrap_or_default();
+        ExpOptions::parse(args).unwrap_or_else(|e| {
+            let prog = std::path::Path::new(&prog)
+                .file_name()
+                .and_then(|n| n.to_str())
+                .unwrap_or(&prog);
+            eprintln!("error: {e}");
+            eprintln!("usage: {prog} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses figure-binary arguments (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending argument: an unknown flag, a missing or
+    /// malformed value, or `--jobs 0`.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+            args.next().ok_or_else(|| format!("{flag} needs a value"))
+        }
+        fn number<T: std::str::FromStr>(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<T, String> {
+            let v = value(args, flag)?;
+            v.parse()
+                .map_err(|_| format!("{flag} needs an integer, got `{v}`"))
+        }
         let mut opts = ExpOptions::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
-                    let v = args.next().expect("--scale needs quick|full");
-                    opts.scale = Scale::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown scale `{v}` (quick|full)"));
+                    let v = value(&mut args, "--scale")?;
+                    opts.scale =
+                        Scale::parse(&v).ok_or(format!("unknown scale `{v}` (quick|full)"))?;
                 }
                 "--paper" => opts.paper_machine = true,
-                "--seed" => {
-                    opts.seed = args
-                        .next()
-                        .expect("--seed needs a number")
-                        .parse()
-                        .expect("seed must be an integer");
-                }
+                "--seed" => opts.seed = number(&mut args, "--seed")?,
                 "--jobs" => {
-                    opts.jobs = args
-                        .next()
-                        .expect("--jobs needs a number")
-                        .parse()
-                        .expect("jobs must be an integer");
-                    assert!(opts.jobs >= 1, "--jobs must be at least 1");
+                    opts.jobs = number(&mut args, "--jobs")?;
+                    if opts.jobs == 0 {
+                        return Err("--jobs must be at least 1".to_owned());
+                    }
                 }
-                "--shards" => {
-                    let n: usize = args
-                        .next()
-                        .expect("--shards needs a number")
-                        .parse()
-                        .expect("shards must be an integer");
-                    assert!(n >= 1, "--shards must be at least 1");
-                    opts.shards = Some(n);
-                }
-                "--trace" => {
-                    opts.trace = Some(args.next().expect("--trace needs a path").into());
-                }
+                "--trace" => opts.trace = Some(value(&mut args, "--trace")?.into()),
                 "--check" => opts.check = true,
                 "--no-fork" => opts.no_fork = true,
-                other => {
-                    panic!(
-                        "unknown argument `{other}` (--scale, --paper, --seed, --jobs, --shards, --trace, --check, --no-fork)"
-                    )
-                }
+                other => return Err(format!("unknown argument `{other}`")),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The Ideal-Host reference machine (§7) at the chosen scale.
@@ -250,16 +249,7 @@ pub fn run_trace(
     if opts.check {
         sys.enable_checks(pei_system::CheckConfig::default());
     }
-    finish(opts, sys)
-}
-
-/// Drives a prepared system to completion on whichever engine the
-/// options selected: sequential by default, sharded under `--shards`.
-fn finish(opts: &ExpOptions, mut sys: System) -> RunResult {
-    match opts.shards {
-        Some(n) => sys.run_sharded(CYCLE_LIMIT, n),
-        None => sys.run(CYCLE_LIMIT),
-    }
+    sys.run(CYCLE_LIMIT)
 }
 
 /// If `--trace <path>` was given, captures the binary's representative
@@ -283,7 +273,6 @@ pub fn write_trace_if_requested(
         paper_machine: opts.paper_machine,
         seed: opts.seed,
         pei_budget: None,
-        shards: opts.shards,
     };
     let (_, trace) = spec.capture();
     std::fs::write(path, trace.to_bytes())
@@ -307,7 +296,7 @@ pub fn run_ideal_host(opts: &ExpOptions, workload: Workload, size: InputSize) ->
     if opts.check {
         sys.enable_checks(pei_system::CheckConfig::default());
     }
-    finish(opts, sys)
+    sys.run(CYCLE_LIMIT)
 }
 
 /// Geometric mean.
@@ -397,6 +386,51 @@ mod tests {
         // Smallest well under L3, largest far above it.
         assert!(g[0].1 * 48 < (1 << 20) / 2);
         assert!(g[8].1 * 48 > 8 * (1 << 20));
+    }
+
+    fn parse(args: &[&str]) -> Result<ExpOptions, String> {
+        ExpOptions::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let o = parse(&[
+            "--scale",
+            "full",
+            "--paper",
+            "--seed",
+            "7",
+            "--jobs",
+            "3",
+            "--trace",
+            "t.petr",
+            "--check",
+            "--no-fork",
+        ])
+        .expect("valid arguments");
+        assert_eq!(o.scale, Scale::Full);
+        assert!(o.paper_machine && o.check && o.no_fork);
+        assert_eq!((o.seed, o.jobs), (7, 3));
+        assert_eq!(o.trace.as_deref(), Some(std::path::Path::new("t.petr")));
+    }
+
+    #[test]
+    fn parse_rejects_bad_arguments_with_a_message() {
+        for (args, want) in [
+            (&["--shards", "4"][..], "unknown argument `--shards`"),
+            (&["--jobs", "0"][..], "--jobs must be at least 1"),
+            (&["--jobs"][..], "--jobs needs a value"),
+            (
+                &["--jobs", "many"][..],
+                "--jobs needs an integer, got `many`",
+            ),
+            (&["--scale", "bogus"][..], "unknown scale `bogus`"),
+        ] {
+            match parse(args) {
+                Err(e) => assert!(e.contains(want), "{args:?}: got `{e}`, want `{want}`"),
+                Ok(o) => panic!("{args:?} parsed as {o:?}"),
+            }
+        }
     }
 
     #[test]

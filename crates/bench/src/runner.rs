@@ -123,11 +123,11 @@ pub struct RunSpec {
     /// Deterministic fault injection for this cell (test harness and
     /// checked-mode validation; `None` in every real experiment).
     pub fault: Option<FaultPlan>,
-    /// Run on the sharded engine with this many threads
-    /// (`System::run_sharded`, DESIGN.md §10) instead of the sequential
-    /// loop. Results are identical for every `Some(n)`;
-    /// [`Batch::run_with`] sets it from `--shards`.
-    pub shards: Option<usize>,
+    /// Always `None`: the in-run sharded engine was removed (DESIGN.md
+    /// §10), and `Infallible` has no value, so nothing can set this.
+    /// The field stays only because the repository benchmark
+    /// (`perfbench/`) still reads it; drop it together with that read.
+    pub shards: Option<std::convert::Infallible>,
 }
 
 impl RunSpec {
@@ -249,16 +249,7 @@ impl RunSpec {
     pub fn run(&self) -> RunResult {
         let mut sys = self.build();
         self.arm(&mut sys);
-        self.drive(&mut sys)
-    }
-
-    /// Runs a built-and-armed machine on the engine this spec selects:
-    /// sequential, or sharded with `shards` threads.
-    pub(crate) fn drive(&self, sys: &mut System) -> RunResult {
-        match self.shards {
-            Some(n) => sys.run_sharded(self.max_cycles, n),
-            None => sys.run(self.max_cycles),
-        }
+        sys.run(self.max_cycles)
     }
 
     /// Executes this cell with `sink` attached as an event tracer,
@@ -272,7 +263,7 @@ impl RunSpec {
         let mut sys = self.build();
         sys.attach_tracer(sink);
         self.arm(&mut sys);
-        let result = self.drive(&mut sys);
+        let result = sys.run(self.max_cycles);
         let sink = sys.detach_tracer().expect("tracer was just attached");
         (result, sink)
     }
@@ -334,10 +325,9 @@ impl Batch {
     }
 
     /// Like [`run`](Batch::run), but driven by the shared command-line
-    /// options: `--jobs` picks the worker count, `--check` turns on
-    /// checked mode for every cell, and `--shards` moves every cell
-    /// onto the sharded engine. The one-line change that gives a figure
-    /// binary the full sanitizer and parallel-engine surface.
+    /// options: `--jobs` picks the worker count and `--check` turns on
+    /// checked mode for every cell. The one-line change that gives a
+    /// figure binary the full sanitizer surface.
     ///
     /// Cells that differ only in dispatch policy (within one PMU monitor
     /// class) share a warmed snapshot instead of each replaying the
@@ -347,9 +337,6 @@ impl Batch {
         for spec in &mut self.specs {
             if opts.check {
                 spec.check = true;
-            }
-            if opts.shards.is_some() {
-                spec.shards = opts.shards;
             }
         }
         run_specs_forked(&self.specs, opts.jobs, !opts.no_fork)
@@ -486,8 +473,8 @@ pub struct ForkStats {
     /// Cells cold-run because the [`ForkPolicy::min_prefix`]
     /// auto-bypass judged their group's prefix too short to snapshot.
     pub bypasses: u64,
-    /// Cells that can never fork: no fork key (fault plan, sharded
-    /// engine), singleton groups, forking disabled, or nothing
+    /// Cells that can never fork: no fork key (fault plan), singleton
+    /// groups, forking disabled, or nothing
     /// shareable (the group's run completes before any PEI).
     pub ineligible: u64,
 }
@@ -550,8 +537,8 @@ pub fn run_specs_forked(specs: &[RunSpec], jobs: usize, fork: bool) -> Vec<RunRe
 /// [`ForkPolicy::min_prefix`] warmup cycles the runner bypasses the
 /// fork — the warmed machine continues as the first member's run and
 /// the rest run cold — because at that scale snapshotting is a
-/// measured net loss. Cells that cannot share (fault plans, sharded
-/// engine, singleton groups) and groups whose warmup completes the
+/// measured net loss. Cells that cannot share (fault plans, singleton
+/// groups) and groups whose warmup completes the
 /// whole run or fails to snapshot fall back to cold runs per cell —
 /// forking is an optimization, never a requirement. Workers claim
 /// whole groups, so a group's snapshot lives on one worker's stack and
@@ -643,9 +630,8 @@ pub fn run_specs_forked_with(
 /// this same string, so daemon jobs and batch cells share one grouping
 /// rule.
 pub fn fork_key(spec: &RunSpec) -> Option<String> {
-    if spec.fault.is_some() || spec.shards.is_some() {
-        // Faults arm at build time (snapshots refuse armed faults), and
-        // the sharded engine re-partitions per run; neither forks.
+    if spec.fault.is_some() {
+        // Faults arm at build time, and snapshots refuse armed faults.
         return None;
     }
     let mut cfg = spec.cfg;
@@ -706,7 +692,7 @@ pub fn run_from_warm(spec: &RunSpec, snap: &Snapshot) -> RunResult {
     let mut sys = spec.build();
     spec.arm(&mut sys);
     match sys.restore(snap) {
-        Ok(()) => spec.drive(&mut sys),
+        Ok(()) => sys.run(spec.max_cycles),
         Err(_) => spec.run(),
     }
 }
@@ -736,7 +722,7 @@ fn run_group(
                         // The snapshotted machine finishes the first
                         // member itself; siblings restore the snapshot.
                         let first = &specs[members[0]];
-                        let mut out = vec![(members[0], first.drive(&mut sys))];
+                        let mut out = vec![(members[0], sys.run(first.max_cycles))];
                         out.extend(
                             members[1..]
                                 .iter()
@@ -752,7 +738,7 @@ fn run_group(
                     .bypasses
                     .fetch_add(members.len() as u64 - 1, Ordering::Relaxed);
                 let first = &specs[members[0]];
-                let mut out = vec![(members[0], first.drive(&mut sys))];
+                let mut out = vec![(members[0], sys.run(first.max_cycles))];
                 out.extend(members[1..].iter().map(|&i| (i, specs[i].run())));
                 return out;
             }
@@ -846,25 +832,6 @@ mod tests {
         let results = batch.run(2);
         assert_eq!(results.len(), idx.len());
         assert_eq!(idx, (0..results.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sharded_specs_are_thread_count_invariant() {
-        // `--shards 1` and `--shards 4` must agree cell for cell (the
-        // sequential engine may legally order same-cycle events
-        // differently, so it is not part of this comparison).
-        let sharded = |n: usize| {
-            let mut specs = tiny_specs();
-            for s in &mut specs {
-                s.shards = Some(n);
-            }
-            run_specs(&specs, 1)
-        };
-        for (a, b) in sharded(1).iter().zip(&sharded(4)) {
-            assert_eq!(a.cycles, b.cycles);
-            assert_eq!(a.instructions, b.instructions);
-            assert_eq!(a.stats, b.stats);
-        }
     }
 
     /// A four-policy grid: both monitor classes are populated with two
@@ -974,10 +941,10 @@ mod tests {
         assert_eq!(fork_key(&specs[2]), fork_key(&specs[3]));
         assert_ne!(fork_key(&specs[0]), fork_key(&specs[2]));
         assert_ne!(fork_key(&specs[0]), fork_key(&specs[4]));
-        // Faulted and sharded cells never fork.
-        let mut sharded = specs[0].clone();
-        sharded.shards = Some(2);
-        assert_eq!(fork_key(&sharded), None);
+        // Faulted cells never fork.
+        let mut faulted = specs[0].clone();
+        faulted.fault = Some(FaultPlan::new(1));
+        assert_eq!(fork_key(&faulted), None);
     }
 
     #[test]

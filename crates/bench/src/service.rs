@@ -99,11 +99,6 @@ pub fn resolve_recipe(recipe: &Recipe) -> Result<RunSpec, String> {
     }
     let mut spec = RunSpec::sized(opts.machine(policy), params, workload, size);
     spec.check = recipe.check;
-    spec.shards = match recipe.shards {
-        None => None,
-        Some(0) => return Err("`shards` must be at least 1".to_owned()),
-        Some(n) => Some(n as usize),
-    };
     if !recipe.fault_kinds.is_empty() {
         let mut plan = FaultPlan::new(recipe.fault_seed.unwrap_or(recipe.seed));
         for name in &recipe.fault_kinds {
@@ -141,11 +136,6 @@ pub fn resolve_capture(recipe: &Recipe) -> Result<CaptureSpec, String> {
         paper_machine: recipe.paper,
         seed: recipe.seed,
         pei_budget: recipe.budget,
-        shards: match recipe.shards {
-            None => None,
-            Some(0) => return Err("`shards` must be at least 1".to_owned()),
-            Some(n) => Some(n as usize),
-        },
     })
 }
 
@@ -373,9 +363,8 @@ impl ForkCache {
     /// the flag was observed set — the job's machine is dropped, and
     /// any snapshot already cached stays valid (it is immutable).
     ///
-    /// Sharded specs (`spec.shards`) can't pause mid-run; for them the
-    /// flag is only checked before the run starts. Warmups are likewise
-    /// run-to-completion (they are milliseconds).
+    /// Warmups are run-to-completion (they are milliseconds), so the
+    /// flag is only checked before they start.
     pub fn run_cancellable(
         &self,
         spec: &RunSpec,
@@ -461,9 +450,9 @@ impl ForkCache {
     /// slice window, cancellation wins (it is the caller's explicit
     /// request).
     ///
-    /// The same caveats as cancellation apply: sharded specs and
-    /// warmups check only before they start, so the deadline is
-    /// enforced at slice granularity, not exactly.
+    /// The same caveat as cancellation applies: warmups check only
+    /// before they start, so the deadline is enforced at slice
+    /// granularity, not exactly.
     pub fn run_bounded(
         &self,
         spec: &RunSpec,
@@ -536,9 +525,7 @@ impl ForkCache {
     }
 }
 
-/// Cold path: build, arm, and drive `spec` cancellably on its own
-/// engine. Sharded runs check the flag once up front (the sharded
-/// driver has no mid-run pause for cancellation).
+/// Cold path: build, arm, and drive `spec` cancellably.
 fn run_spec_cancellable(
     spec: &RunSpec,
     slice: u64,
@@ -547,15 +534,7 @@ fn run_spec_cancellable(
 ) -> Option<RunResult> {
     let mut sys = spec.build();
     spec.arm(&mut sys);
-    match spec.shards {
-        Some(n) => {
-            if cancel.load(Ordering::Relaxed) {
-                return None;
-            }
-            Some(sys.run_sharded(spec.max_cycles, n))
-        }
-        None => sys.run_cancellable(spec.max_cycles, slice, cancel, progress),
-    }
+    sys.run_cancellable(spec.max_cycles, slice, cancel, progress)
 }
 
 #[cfg(test)]
@@ -599,9 +578,6 @@ mod tests {
         r = quick_recipe("la");
         r.scale = "epic".into();
         assert!(resolve_recipe(&r).unwrap_err().contains("scale"));
-        r = quick_recipe("la");
-        r.shards = Some(0);
-        assert!(resolve_recipe(&r).unwrap_err().contains("shards"));
         r = quick_recipe("la");
         r.fault_seed = Some(1);
         assert!(resolve_recipe(&r).unwrap_err().contains("fault_kinds"));

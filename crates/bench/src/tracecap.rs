@@ -92,30 +92,18 @@ pub struct CaptureSpec {
     /// Overrides the scale's PEI budget when set (tests use tiny
     /// budgets to keep the capture→replay loop fast).
     pub pei_budget: Option<u64>,
-    /// Capture ran on the sharded engine with this many threads
-    /// (`System::run_sharded`, DESIGN.md §10). Part of the recipe
-    /// because the sharded schedule is a different valid event ordering
-    /// than the sequential one: a replay must re-execute on the same
-    /// engine to be byte-comparable. The thread count itself doesn't
-    /// affect results, but is preserved verbatim for provenance.
-    pub shards: Option<usize>,
 }
 
 impl std::fmt::Display for CaptureSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}/{} ({}{}{}, seed {})",
+            "{}/{}/{} ({}{}, seed {})",
             self.workload.label(),
             size_name(self.size),
             policy_name(self.policy),
             self.scale.name(),
             if self.paper_machine { ", paper" } else { "" },
-            if self.shards.is_some() {
-                ", sharded"
-            } else {
-                ""
-            },
             self.seed
         )
     }
@@ -134,9 +122,7 @@ impl CaptureSpec {
         if let Some(b) = self.pei_budget {
             params.pei_budget = b;
         }
-        let mut spec = RunSpec::sized(opts.machine(self.policy), params, self.workload, self.size);
-        spec.shards = self.shards;
-        spec
+        RunSpec::sized(opts.machine(self.policy), params, self.workload, self.size)
     }
 
     /// Writes this recipe into a sink's metadata table under `spec.*`
@@ -151,15 +137,14 @@ impl CaptureSpec {
         if let Some(b) = self.pei_budget {
             sink.meta("spec.budget", &b.to_string());
         }
-        if let Some(n) = self.shards {
-            sink.meta("spec.shards", &n.to_string());
-        }
     }
 
     /// Reads a recipe back out of a trace's metadata. `Err` names the
     /// missing or malformed key — traces captured without a recipe
     /// (sweep cells, hand-built systems) are diffable but not
-    /// replayable.
+    /// replayable. Captures taken on the removed sharded engine (a
+    /// `spec.shards` key) are refused too: their event order is not the
+    /// sequential engine's, so a replay could never match them.
     pub fn from_trace(t: &Trace) -> Result<CaptureSpec, String> {
         fn get<'a>(t: &'a Trace, key: &str) -> Result<&'a str, String> {
             t.meta_get(key)
@@ -188,13 +173,14 @@ impl CaptureSpec {
                     .map_err(|_| "bad `spec.budget` metadata: not an integer".to_string())?,
             ),
         };
-        let shards = match t.meta_get("spec.shards") {
-            None => None,
-            Some(n) => Some(
-                n.parse()
-                    .map_err(|_| "bad `spec.shards` metadata: not an integer".to_string())?,
-            ),
-        };
+        if t.meta_get("spec.shards").is_some() {
+            return Err(
+                "capture was taken on the sharded engine (`spec.shards` metadata), \
+                        which has been removed; its event order cannot be replayed on the \
+                        sequential engine, so re-capture it"
+                    .into(),
+            );
+        }
         Ok(CaptureSpec {
             workload,
             size,
@@ -203,7 +189,6 @@ impl CaptureSpec {
             paper_machine,
             seed,
             pei_budget,
-            shards,
         })
     }
 
@@ -303,7 +288,6 @@ mod tests {
             paper_machine: true,
             seed: 0xfeed,
             pei_budget: Some(1234),
-            shards: Some(2),
         };
         let mut rec = Recorder::new();
         spec.write_meta(&mut rec);
@@ -317,5 +301,24 @@ mod tests {
         let err = CaptureSpec::from_trace(&t).unwrap_err();
         assert!(err.contains("spec.workload"), "{err}");
         assert!(replay(&t).is_err());
+
+        // A capture from the removed sharded engine carries a full
+        // recipe plus `spec.shards`; it is refused, not replayed on the
+        // sequential engine.
+        let spec = CaptureSpec {
+            workload: Workload::Atf,
+            size: InputSize::Small,
+            policy: DispatchPolicy::LocalityAware,
+            scale: Scale::Quick,
+            paper_machine: false,
+            seed: 1,
+            pei_budget: None,
+        };
+        let mut rec = Recorder::new();
+        spec.write_meta(&mut rec);
+        rec.meta("spec.shards", "2");
+        let t = Trace::from_bytes(&rec.to_petr().unwrap()).unwrap();
+        let err = replay(&t).unwrap_err();
+        assert!(err.contains("sharded engine"), "{err}");
     }
 }

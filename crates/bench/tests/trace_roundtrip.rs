@@ -18,27 +18,7 @@ fn tiny_spec() -> CaptureSpec {
         paper_machine: false,
         seed: 0x5eed,
         pei_budget: Some(2_000),
-        shards: None,
     }
-}
-
-/// A sharded capture must replay on the sharded engine and reproduce
-/// byte-identically — the cross-engine leg of the determinism contract.
-#[test]
-fn sharded_capture_replays_byte_identical() {
-    let spec = CaptureSpec {
-        shards: Some(2),
-        ..tiny_spec()
-    };
-    let (_, trace) = spec.capture();
-    assert_eq!(trace.meta_get("spec.shards"), Some("2"));
-    let replay = tracecap::replay(&trace).expect("capture carries a recipe");
-    assert_eq!(replay.spec, spec);
-    assert!(
-        replay.identical(),
-        "sharded capture failed to replay: {:?}",
-        replay.divergence
-    );
 }
 
 #[test]
@@ -126,7 +106,6 @@ fn fig6_quick_cell_replays() {
         paper_machine: false,
         seed: 0x5eed,
         pei_budget: None,
-        shards: None,
     };
     let (_, trace) = spec.capture();
     let replay = tracecap::replay(&trace).expect("capture carries a recipe");

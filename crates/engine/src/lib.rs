@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod channel;
 pub mod clock;
 pub mod counters;
@@ -35,7 +34,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use barrier::EpochBarrier;
 pub use channel::{BwChannel, Occupancy, OccupancyPool};
 pub use clock::ClockDomain;
 pub use counters::{CounterId, Counters};

@@ -275,10 +275,9 @@ impl<E> EventQueue<E> {
     /// `limit`, or `None` if every pending event is at `limit` or
     /// later (or the queue is empty).
     ///
-    /// This is the windowed-draining primitive of the sharded engine
-    /// (DESIGN.md §10): each shard repeatedly calls
-    /// `pop_before(window_end)` to exhaust its epoch window, including
-    /// events other dispatches schedule *into* the window while it
+    /// This is the pause primitive of the run loop (DESIGN.md §11):
+    /// `System::run_paused` drains with `pop_before(cut)`, including
+    /// events that dispatches schedule *into* the window while it
     /// drains. Events at or past `limit` are left untouched — the
     /// window `base` advances at most to `limit`, so a later
     /// [`pop`](Self::pop) or `pop_before` with a larger limit observes
@@ -581,7 +580,7 @@ mod tests {
 
     #[test]
     fn windowed_drain_matches_unwindowed_order() {
-        // Popping through epoch windows must reproduce the exact
+        // Popping through pause windows must reproduce the exact
         // sequence a plain pop-loop yields, including same-cycle FIFO
         // and overflow hand-back, for a small ring with wraparound.
         let build = || {
@@ -599,8 +598,8 @@ mod tests {
         let plain: Vec<_> = std::iter::from_fn(|| a.pop()).collect();
         let mut b = build();
         let mut windowed = Vec::new();
-        for epoch in 0.. {
-            let end = (epoch + 1) * 10;
+        for window in 0.. {
+            let end = (window + 1) * 10;
             while let Some(e) = b.pop_before(end) {
                 windowed.push(e);
             }

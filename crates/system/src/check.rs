@@ -164,22 +164,9 @@ impl FailureReport {
 
     /// Persists the captured failure window as a `.petr` file via the
     /// streaming sink, returning the number of records written (0 if
-    /// the run carried no retained events).
-    ///
-    /// # Sharded runs
-    ///
-    /// On a run that stalled under the sharded engine
-    /// (`System::run_sharded`, DESIGN.md §10), the window holds the
-    /// *barrier-merged* record stream: each cube shard's records are
-    /// swapped to the host at every epoch barrier and merged in
-    /// deterministic order before the watchdog's stall check runs, so
-    /// nothing dispatched before the stall is lost and the saved bytes
-    /// are identical for every `--shards N`. The window ends at the
-    /// epoch barrier where the stall was declared, which may be later
-    /// than [`cycle`](FailureReport::cycle) (the last *dispatched*
-    /// event); no partial-epoch records exist past it. As in
-    /// sequential runs, the checked-mode ring still truncates to the
-    /// last `CheckConfig::window` records.
+    /// the run carried no retained events). In checked mode the ring
+    /// recorder truncates the window to the last
+    /// `CheckConfig::window` records.
     ///
     /// # Errors
     ///
@@ -553,17 +540,9 @@ impl CheckState {
     }
 
     fn check_events(&mut self, sys: &System, out: &mut Vec<Violation>) {
-        // In a sharded run the sweep happens at an epoch barrier with
-        // the cube shards quiesced; their queues' (scheduled,
-        // dispatched, pending) counts are aggregated into
-        // `foreign_events` by the driver, so conservation is checked
-        // across the whole partitioned machine. Messages sitting in an
-        // inter-shard mailbox are counted on neither side — they are
-        // only `scheduled` once absorbed by the receiving queue — so
-        // the equation balances at any barrier.
-        let scheduled = sys.queue.total_scheduled() + sys.foreign_events.0;
-        let pending = sys.queue.len() as u64 + sys.foreign_events.2;
-        let dispatched = sys.dispatched + sys.foreign_events.1;
+        let scheduled = sys.queue.total_scheduled();
+        let pending = sys.queue.len() as u64;
+        let dispatched = sys.dispatched;
         if scheduled != dispatched + pending {
             out.push(Violation {
                 checker: "events",

@@ -36,7 +36,6 @@
 pub mod check;
 pub mod config;
 pub mod energy;
-mod shard;
 pub mod snapshot;
 pub mod system;
 mod tracer;

@@ -27,16 +27,9 @@
 //! - **Divergence bisection**: the `trace_bisect` tool restores midpoint
 //!   snapshots to binary-search a figure regression down to the first
 //!   divergent cycle without re-simulating the prefix each probe.
-//!
-//! A snapshot taken at a sharded epoch barrier additionally carries the
-//! `ShardPause` record (super-step counter, per-cube event lists in
-//! canonical order, undelivered barrier mailboxes); both the inline and
-//! the threaded driver follow the identical super-step schedule, so a
-//! sharded snapshot resumes byte-identically under any `--shards` count.
 
 use crate::check::CheckConfig;
 use crate::config::MachineConfig;
-use crate::shard::StoreSlot;
 use crate::system::{Ev, System};
 use pei_core::{DispatchPolicy, PmuIn};
 use pei_engine::EventQueue;
@@ -49,10 +42,12 @@ use pei_types::{BlockAddr, Cycle, OperandValue, PimCmd, PimOut, ReqId};
 use std::io;
 use std::path::Path;
 
-/// File magic: "PEI snapshot, format 1".
+/// File magic: "PEI snapshot". Kept across format versions so that an
+/// older file is refused with [`SnapError::BadVersion`], not as a
+/// foreign file.
 const MAGIC: &[u8; 8] = b"PEISNAP1";
 /// Format version; bumped on any incompatible layout change.
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 // Section tags, in stream order. `expect_tag` turns a misaligned decode
 // into an offset-reporting error instead of garbage state.
@@ -70,8 +65,7 @@ const TAG_STORE: u8 = 11;
 const TAG_GROUPS: u8 = 12;
 const TAG_RUN: u8 = 13;
 const TAG_CHECKS: u8 = 14;
-const TAG_SHARD: u8 = 15;
-const TAG_END: u8 = 16;
+const TAG_END: u8 = 15;
 
 /// A serialized machine state, restorable onto an identically
 /// constructed [`System`] (same [`MachineConfig`] up to dispatch policy
@@ -92,7 +86,6 @@ struct Header {
     fp_class: u64,
     fp_exact: u64,
     cycle: Cycle,
-    sharded: bool,
     meta: Vec<(String, String)>,
 }
 
@@ -123,13 +116,6 @@ impl Snapshot {
     /// where a restored run resumes.
     pub fn cycle(&self) -> Cycle {
         self.header.cycle
-    }
-
-    /// Whether this snapshot was taken at a sharded epoch barrier (must
-    /// resume with `run_sharded`) rather than a sequential cut (must
-    /// resume with `run`).
-    pub fn is_sharded(&self) -> bool {
-        self.header.sharded
     }
 
     /// Fingerprint of the machine configuration with the dispatch policy
@@ -214,21 +200,14 @@ fn decode_header(d: &mut Decoder<'_>) -> SnapResult<Header> {
     }
     let version = d.u16()?;
     if version != VERSION {
-        return Err(SnapError::BadVersion { found: version });
+        return Err(SnapError::BadVersion {
+            found: version,
+            expected: VERSION,
+        });
     }
     let fp_class = d.u64()?;
     let fp_exact = d.u64()?;
     let cycle = d.u64()?;
-    let sharded = match d.u8()? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(SnapError::BadValue {
-                offset: d.offset().saturating_sub(1),
-                what: format!("engine flag must be 0 or 1, found {other}"),
-            })
-        }
-    };
     let n = d.seq(2)?;
     let mut meta = Vec::with_capacity(n);
     for _ in 0..n {
@@ -240,37 +219,13 @@ fn decode_header(d: &mut Decoder<'_>) -> SnapResult<Header> {
         fp_class,
         fp_exact,
         cycle,
-        sharded,
         meta,
     })
 }
 
-/// State of a sharded run paused at an epoch barrier: enough to re-seed
-/// the super-step drivers so the resumed schedule is the one an
-/// uninterrupted run would have followed (under any thread count — both
-/// drivers execute the identical barrier schedule).
-pub(crate) struct ShardPause {
-    /// The super-step the resumed drivers start at (already advanced
-    /// past the barrier the pause cut).
-    pub(crate) step: u64,
-    /// Cycle of the last host event dispatched (stall diagnostics).
-    pub(crate) last: Cycle,
-    /// Per-cube queue contents (canonical pop order) and accounting.
-    pub(crate) cubes: Vec<CubePause>,
-    /// Per-cube barrier mailboxes delivered but not yet absorbed.
-    pub(crate) inboxes: Vec<Vec<(Cycle, Ev)>>,
-}
-
-/// One cube shard's paused queue.
-pub(crate) struct CubePause {
-    pub(crate) events: Vec<(Cycle, Ev)>,
-    pub(crate) scheduled: u64,
-    pub(crate) dispatched: u64,
-}
-
 /// Serializes one system event. Boxed payloads reuse the component
 /// crates' message codecs so the wire format lives next to each type.
-pub(crate) fn encode_ev(ev: &Ev, e: &mut Encoder) {
+fn encode_ev(ev: &Ev, e: &mut Encoder) {
     match ev {
         Ev::CoreTick(i) => {
             e.tag(0);
@@ -387,7 +342,7 @@ pub(crate) fn encode_ev(ev: &Ev, e: &mut Encoder) {
 }
 
 /// Decodes one system event; unknown tags report their offset.
-pub(crate) fn decode_ev(d: &mut Decoder<'_>) -> SnapResult<Ev> {
+fn decode_ev(d: &mut Decoder<'_>) -> SnapResult<Ev> {
     let offset = d.offset();
     Ok(match d.u8()? {
         0 => Ev::CoreTick(d.usize()?),
@@ -452,8 +407,7 @@ fn mismatch(what: impl Into<String>) -> SnapError {
 impl System {
     /// Serializes the complete machine state. The machine must be
     /// quiescent between events (before a run, between `run` calls, or
-    /// paused via [`run_paused`](System::run_paused) /
-    /// [`run_sharded_paused`](System::run_sharded_paused)).
+    /// paused via [`run_paused`](System::run_paused)).
     ///
     /// Capture is non-perturbing: continuing this machine afterwards is
     /// byte-identical to never having snapshotted (the event queue is
@@ -463,8 +417,7 @@ impl System {
     /// # Errors
     ///
     /// Refuses machines with armed fault injection or recorded invariant
-    /// violations (their state is intentionally sick), and machines in
-    /// the middle of a sharded run.
+    /// violations (their state is intentionally sick).
     pub fn snapshot(&mut self) -> SnapResult<Snapshot> {
         self.snapshot_with_meta(&[])
     }
@@ -484,25 +437,21 @@ impl System {
                 "cannot snapshot a machine with recorded invariant violations",
             ));
         }
-        if !matches!(self.store, StoreSlot::Owned(_)) || self.cube_out.is_some() {
-            return Err(mismatch("cannot snapshot in the middle of a sharded run"));
-        }
 
-        let cycle = self.resume_cycle();
+        let cycle = self.queue.peek_time().unwrap_or(self.finish_time);
         let mut e = Encoder::new();
         e.raw(MAGIC);
         e.u16(VERSION);
         e.u64(class_fingerprint(&self.cfg));
         e.u64(config_fingerprint(&self.cfg));
         e.u64(cycle);
-        e.u8(u8::from(self.shard_pause.is_some()));
         e.seq(meta.len());
         for (k, v) in meta {
             e.str(k);
             e.str(v);
         }
 
-        // Host event queue, drained in canonical order and rebuilt.
+        // Event queue, drained in canonical order and rebuilt.
         e.tag(TAG_QUEUE);
         let scheduled = self.queue.total_scheduled();
         e.u64(scheduled);
@@ -551,10 +500,9 @@ impl System {
         // container format.
         e.tag(TAG_STORE);
         let mut raw = Vec::new();
-        match &self.store {
-            StoreSlot::Owned(mem) => mem.save(&mut raw).expect("in-memory write cannot fail"),
-            StoreSlot::Shared(_) => unreachable!("checked above"),
-        }
+        self.store
+            .save(&mut raw)
+            .expect("in-memory write cannot fail");
         e.bytes(&raw);
 
         // Workload groups: phase progress and drain flags. The trace
@@ -578,10 +526,6 @@ impl System {
         e.u64(self.finish_time);
         e.u64(self.dispatched);
         e.u64(self.xsends);
-        e.opt(self.pending_mark.is_some());
-        if let Some(m) = self.pending_mark {
-            e.str(m);
-        }
 
         e.tag(TAG_CHECKS);
         e.opt(self.checks.is_some());
@@ -605,22 +549,6 @@ impl System {
             }
         }
 
-        e.tag(TAG_SHARD);
-        e.opt(self.shard_pause.is_some());
-        if let Some(p) = &self.shard_pause {
-            e.u64(p.step);
-            e.u64(p.last);
-            e.seq(p.cubes.len());
-            for cp in &p.cubes {
-                e.u64(cp.scheduled);
-                e.u64(cp.dispatched);
-                encode_events(&mut e, &cp.events);
-            }
-            e.seq(p.inboxes.len());
-            for ib in &p.inboxes {
-                encode_events(&mut e, ib);
-            }
-        }
         e.tag(TAG_END);
 
         let bytes = e.into_bytes();
@@ -637,9 +565,8 @@ impl System {
     /// `add_workload` calls (the workload generators are re-created, not
     /// serialized), and the same checked-mode setting.
     ///
-    /// After a successful restore, continue with `run`/`run_sharded`
-    /// matching [`Snapshot::is_sharded`]; the continued run is
-    /// byte-identical to the uninterrupted original.
+    /// After a successful restore, continue with `run`; the continued
+    /// run is byte-identical to the uninterrupted original.
     ///
     /// # Errors
     ///
@@ -715,7 +642,7 @@ impl System {
         let raw = d.bytes()?;
         let mem = BackingStore::load(&mut &raw[..])
             .map_err(|err| d.bad(format!("backing store payload: {err}")))?;
-        self.store = StoreSlot::Owned(mem);
+        self.store = mem;
 
         d.expect_tag(TAG_GROUPS, "workload-group section")?;
         check_len("workload groups", d.seq(1)?, self.groups.len())?;
@@ -750,11 +677,6 @@ impl System {
         self.finish_time = d.u64()?;
         self.dispatched = d.u64()?;
         self.xsends = d.u64()?;
-        self.pending_mark = if d.opt()? {
-            Some(pei_engine::intern_label(&d.str()?))
-        } else {
-            None
-        };
 
         d.expect_tag(TAG_CHECKS, "checked-mode section")?;
         let snap_checks = d.opt()?;
@@ -800,80 +722,26 @@ impl System {
             }
         }
 
-        d.expect_tag(TAG_SHARD, "sharded-pause section")?;
-        self.shard_pause = if d.opt()? {
-            let step = d.u64()?;
-            let last = d.u64()?;
-            let nc = d.seq(13)?;
-            check_len("cube shards", nc, self.cfg.hmc.cubes)?;
-            let mut cubes = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                let scheduled = d.u64()?;
-                let dispatched = d.u64()?;
-                let events = decode_events(&mut d)?;
-                cubes.push(CubePause {
-                    events,
-                    scheduled,
-                    dispatched,
-                });
-            }
-            let ni = d.seq(4)?;
-            check_len("cube inboxes", ni, self.cfg.hmc.cubes)?;
-            let mut inboxes = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                inboxes.push(decode_events(&mut d)?);
-            }
-            Some(Box::new(ShardPause {
-                step,
-                last,
-                cubes,
-                inboxes,
-            }))
-        } else {
-            None
-        };
         d.expect_tag(TAG_END, "end-of-snapshot marker")?;
         d.finish()?;
 
         // Install the queue only after the whole stream validated.
         self.rebuild_queue(events, scheduled);
-        self.foreign_events = (0, 0, 0);
         self.violations.clear();
         self.warm_armed = false;
         self.warm_stop = None;
         Ok(())
     }
 
-    /// Rebuilds the host queue from `(cycle, event)` pairs in canonical
+    /// Rebuilds the queue from `(cycle, event)` pairs in canonical
     /// order, restoring the lifetime-scheduled tally.
-    pub(crate) fn rebuild_queue(&mut self, events: Vec<(Cycle, Ev)>, scheduled: u64) {
+    fn rebuild_queue(&mut self, events: Vec<(Cycle, Ev)>, scheduled: u64) {
         let mut q = EventQueue::with_horizon(self.cfg.event_horizon());
         for (at, ev) in events {
             q.schedule(at, ev);
         }
         q.restore_accounting(scheduled);
         self.queue = q;
-    }
-
-    /// Lower bound of the cycle a restored run resumes at: the earliest
-    /// pending event anywhere in the machine (host queue, paused cube
-    /// queues, undelivered barrier mailboxes), or the finish time when
-    /// nothing is pending.
-    fn resume_cycle(&self) -> Cycle {
-        let mut lo = self.queue.peek_time();
-        if let Some(p) = &self.shard_pause {
-            for cp in &p.cubes {
-                if let Some(&(at, _)) = cp.events.first() {
-                    lo = Some(lo.map_or(at, |t| t.min(at)));
-                }
-            }
-            for ib in &p.inboxes {
-                for &(at, _) in ib {
-                    lo = Some(lo.map_or(at, |t| t.min(at)));
-                }
-            }
-        }
-        lo.unwrap_or(self.finish_time)
     }
 }
 
@@ -959,7 +827,10 @@ mod tests {
         let bytes = e.into_bytes();
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
-            Err(SnapError::BadVersion { found: 999 })
+            Err(SnapError::BadVersion {
+                found: 999,
+                expected: VERSION
+            })
         ));
     }
 

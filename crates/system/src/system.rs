@@ -13,7 +13,6 @@ use crate::check::{
 };
 use crate::config::MachineConfig;
 use crate::energy::{self, EnergyBreakdown, EnergyInputs, EnergyModel};
-use crate::shard::StoreSlot;
 use crate::tracer::Tracer;
 use pei_core::{HostPcu, HostPcuOut, MemPcu, MemPcuOut, Pmu, PmuIn, PmuOut};
 use pei_cpu::core::{Core, CoreEvent, CoreStatus};
@@ -117,19 +116,16 @@ impl RunResult {
     }
 }
 
-/// Where [`System::run_paused`] / [`System::run_sharded_paused`] should
-/// stop with all machine state intact (DESIGN.md §11).
+/// Where [`System::run_paused`] should stop with all machine state
+/// intact (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PauseAt {
     /// Pause once every event strictly before this cycle has been
-    /// dispatched. The sharded engine rounds the cut up to its next
-    /// epoch barrier (both drivers follow the same barrier schedule, so
-    /// the cut is identical under any thread count).
+    /// dispatched.
     Cycle(Cycle),
     /// Pause just before the first PMU event would be dispatched — the
     /// latest cut that precedes every dispatch-policy decision, used to
-    /// fork one warmed machine across policy sweep cells
-    /// (sequential engine only).
+    /// fork one warmed machine across policy sweep cells.
     FirstPei,
 }
 
@@ -192,9 +188,7 @@ pub struct System {
     pub(crate) mem_pcus: Vec<MemPcu>,
     pub(crate) host_pcus: Vec<HostPcu>,
     pub(crate) pmu: Pmu,
-    // Owned in sequential runs; shared behind a mutex while cube shards
-    // hold clones during a sharded run (crate::shard).
-    pub(crate) store: StoreSlot,
+    pub(crate) store: BackingStore,
     pub(crate) groups: Vec<Group>,
     core_group: Vec<Option<usize>>,
     pub(crate) finish_time: Cycle,
@@ -203,19 +197,6 @@ pub struct System {
     // router injected into the crossbar.
     pub(crate) dispatched: u64,
     pub(crate) xsends: u64,
-    // Aggregated (scheduled, dispatched, pending) counts of the cube
-    // shards' own queues — zero in sequential runs; filled in by the
-    // sharded driver so the event-conservation auditor and the final
-    // `sim.events` statistic see the whole machine (DESIGN.md §10).
-    pub(crate) foreign_events: (u64, u64, u64),
-    // Per-cube outboxes of the sharded engine. `None` in sequential
-    // runs: `sched_cube` then schedules straight onto the global queue,
-    // so the default path is byte-identical to the pre-shard loop.
-    pub(crate) cube_out: Option<Vec<Vec<(Cycle, Ev)>>>,
-    // Phase label waiting to be applied to shard-owned components at
-    // the next epoch barrier (mark_phase during a sharded run cannot
-    // reach the vaults and memory PCUs directly; they are on workers).
-    pub(crate) pending_mark: Option<&'static str>,
     // Checked mode (None in normal runs; one `is_some()` branch each).
     pub(crate) checks: Option<Box<CheckState>>,
     pub(crate) faults: Option<Box<ArmedFaults>>,
@@ -237,22 +218,13 @@ pub struct System {
     // Event capture (None in normal runs). The hot path pays one
     // `is_some()` branch per dispatched event when tracing is off; all
     // name interning happens at attach time (see crate::tracer).
-    pub(crate) tracer: Option<Tracer>,
-    // When `Some`, host-side trace records are buffered here instead of
-    // going straight to the sink: the sharded driver merges them with
-    // the cube shards' buffers in deterministic order at each epoch
-    // barrier (DESIGN.md §10). `None` in sequential runs.
-    pub(crate) shard_trace: Option<Vec<pei_trace::Record>>,
+    tracer: Option<Tracer>,
     // While armed (run_paused with PauseAt::FirstPei), every scheduled
     // PMU event lowers `warm_stop` to its delivery cycle; the run loop
     // re-reads the bound each pop, so no event at or past the first PMU
     // delivery is dispatched before the pause (DESIGN.md §11).
     pub(crate) warm_armed: bool,
     pub(crate) warm_stop: Option<Cycle>,
-    // A sharded run paused at an epoch barrier (run_sharded_paused):
-    // cube queues in canonical order plus the super-step seed. `Some`
-    // only between a sharded pause and its resume/snapshot.
-    pub(crate) shard_pause: Option<Box<crate::snapshot::ShardPause>>,
 }
 
 // Parallel experiment runners move whole `System`s (including their
@@ -312,15 +284,12 @@ impl System {
                 .map(|i| HostPcu::new(CoreId(i as u16), cfg.pcu))
                 .collect(),
             pmu: Pmu::new(cfg.pmu_config()),
-            store: StoreSlot::Owned(store),
+            store,
             groups: Vec::new(),
             core_group: vec![None; n],
             finish_time: 0,
             dispatched: 0,
             xsends: 0,
-            foreign_events: (0, 0, 0),
-            cube_out: None,
-            pending_mark: None,
             checks: None,
             faults: None,
             violations: Vec::new(),
@@ -333,10 +302,8 @@ impl System {
             ob_pmu: Outbox::new(),
             ob_hpcu: Outbox::new(),
             tracer: None,
-            shard_trace: None,
             warm_armed: false,
             warm_stop: None,
-            shard_pause: None,
             cfg,
         }
     }
@@ -390,12 +357,6 @@ impl System {
     /// workload group 0 finishes its first phase; experiment harnesses
     /// may add marks of their own between `run` calls.
     pub fn mark_phase(&mut self, label: &'static str) {
-        if self.cube_out.is_some() {
-            // Sharded run in progress: vaults and memory PCUs live on
-            // cube shards. The driver forwards the label at the next
-            // epoch barrier; everything host-side snapshots below.
-            self.pending_mark = Some(label);
-        }
         for c in &mut self.cores {
             c.snapshot_phase(label);
         }
@@ -500,7 +461,7 @@ impl System {
         (block.0 as usize) & (self.cfg.mem.l3_banks - 1)
     }
 
-    pub(crate) fn pull_phase(&mut self, g: usize, now: Cycle) {
+    fn pull_phase(&mut self, g: usize, now: Cycle) {
         let group = &mut self.groups[g];
         match group.trace.next_phase() {
             Some(phase) => {
@@ -560,7 +521,7 @@ impl System {
         }
     }
 
-    pub(crate) fn all_done(&self) -> bool {
+    fn all_done(&self) -> bool {
         self.groups.iter().all(|g| g.done)
     }
 
@@ -577,9 +538,7 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics only on harness misuse (no workload assigned, or the
-    /// machine holds a sharded pause that must resume via
-    /// [`run_sharded`](System::run_sharded)).
+    /// Panics only on harness misuse (no workload assigned).
     pub fn run(&mut self, max_cycles: Cycle) -> RunResult {
         match self.run_paused(max_cycles, None) {
             RunStatus::Completed(r) => r,
@@ -608,10 +567,6 @@ impl System {
     /// resuming with `None` runs to completion.
     pub fn run_paused(&mut self, max_cycles: Cycle, pause: Option<PauseAt>) -> RunStatus {
         assert!(!self.groups.is_empty(), "no workload assigned");
-        assert!(
-            self.shard_pause.is_none(),
-            "machine holds a sharded pause; resume it with run_sharded"
-        );
         if let Some(PauseAt::FirstPei) = pause {
             self.warm_armed = true;
             self.warm_stop = None;
@@ -731,7 +686,7 @@ impl System {
     /// (the outbox pattern) so it can borrow the rest of the machine
     /// immutably.
     #[cold]
-    pub(crate) fn sweep(&mut self, now: Cycle) {
+    fn sweep(&mut self, now: Cycle) {
         let mut checks = self.checks.take().expect("sweep requires checked mode");
         let mut found = std::mem::take(&mut self.violations);
         checks.sweep(self, now, &mut found);
@@ -745,7 +700,7 @@ impl System {
     /// or delay); the caller skips dispatch. Disarms itself once every
     /// trigger has fired.
     #[cold]
-    pub(crate) fn apply_event_faults(&mut self, now: Cycle, ev: Ev) -> Option<Ev> {
+    fn apply_event_faults(&mut self, now: Cycle, ev: Ev) -> Option<Ev> {
         let n = self.dispatched;
         let mut f = self.faults.take().expect("no faults armed");
         let mut out = Some(ev);
@@ -807,7 +762,7 @@ impl System {
     /// [`FailureReport`] (diagnosis, occupancies, violations, recent
     /// events) and returns the partial result carrying it.
     #[cold]
-    pub(crate) fn fail(&mut self, kind: FailureKind, now: Cycle) -> RunResult {
+    fn fail(&mut self, kind: FailureKind, now: Cycle) -> RunResult {
         let report = Box::new(FailureReport {
             kind,
             cycle: now,
@@ -919,7 +874,7 @@ impl System {
     /// `is_some()` branch in [`dispatch`](Self::dispatch).
     #[cold]
     fn trace_ev(&mut self, now: Cycle, ev: &Ev) {
-        let t = self.tracer.as_ref().expect("trace_ev requires a tracer");
+        let t = self.tracer.as_mut().expect("trace_ev requires a tracer");
         let (comp, kind, payload) = match ev {
             Ev::CoreTick(i) => (t.core[*i], t.k.core_tick, 0),
             Ev::CoreMemDone(i, id) => (t.core[*i], t.k.core_mem_done, id.0),
@@ -962,32 +917,7 @@ impl System {
             Ev::HostPcuL1Resp(c, id) => (t.hpcu[*c], t.k.hpcu_l1_resp, id.0),
             Ev::HostPcuMemResult(c, id, _) => (t.hpcu[*c], t.k.hpcu_mem_result, id.0),
         };
-        self.emit_record(now, comp, kind, payload);
-    }
-
-    /// Delivers one trace record: straight to the sink in sequential
-    /// runs, into the host-side buffer during sharded runs (merged at
-    /// the next epoch barrier in deterministic order).
-    #[cold]
-    fn emit_record(
-        &mut self,
-        cycle: Cycle,
-        comp: pei_trace::CompId,
-        kind: pei_trace::KindId,
-        payload: u64,
-    ) {
-        match &mut self.shard_trace {
-            Some(buf) => buf.push(pei_trace::Record {
-                cycle,
-                comp,
-                kind,
-                payload,
-            }),
-            None => {
-                let t = self.tracer.as_mut().expect("record requires a tracer");
-                t.sink.record(cycle, comp, kind, payload);
-            }
-        }
+        t.sink.record(now, comp, kind, payload);
     }
 
     /// Records a phase boundary (`start`) or group completion; payload
@@ -995,15 +925,14 @@ impl System {
     /// the low half.
     #[cold]
     fn trace_mark(&mut self, now: Cycle, start: bool, g: usize, phase_no: u64) {
-        let t = self.tracer.as_ref().expect("trace_mark requires a tracer");
+        let t = self.tracer.as_mut().expect("trace_mark requires a tracer");
         let kind = if start {
             t.k.phase_start
         } else {
             t.k.group_done
         };
-        let comp = t.system;
         let payload = ((g as u64) << 32) | (phase_no & 0xffff_ffff);
-        self.emit_record(now, comp, kind, payload);
+        t.sink.record(now, t.system, kind, payload);
     }
 
     /// Sends over the crossbar, capturing the message when tracing; the
@@ -1012,16 +941,14 @@ impl System {
     fn xsend(&mut self, port: usize, at: Cycle, payload: XbarPayload) -> Cycle {
         self.xsends += 1;
         let delivered = self.xbar.send(port, at, payload);
-        if self.tracer.is_some() {
-            let t = self.tracer.as_ref().expect("checked is_some");
-            let (comp, kind) = (t.xbar, t.k.xbar_msg);
+        if let Some(t) = &mut self.tracer {
             let packed = ((port as u64) << 32) | ((delivered - at) & 0xffff_ffff);
-            self.emit_record(at, comp, kind, packed);
+            t.sink.record(at, t.xbar, t.k.xbar_msg, packed);
         }
         delivered
     }
 
-    pub(crate) fn dispatch(&mut self, now: Cycle, ev: Ev) {
+    fn dispatch(&mut self, now: Cycle, ev: Ev) {
         if self.tracer.is_some() {
             self.trace_ev(now, &ev);
         }
@@ -1105,15 +1032,7 @@ impl System {
             }
             Ev::MemPcuVaultDone(v, id, write) => {
                 let mut outs = std::mem::take(&mut self.ob_mpcu);
-                match &mut self.store {
-                    StoreSlot::Owned(mem) => {
-                        self.mem_pcus[v].on_vault_done(now, id, write, mem, &mut outs);
-                    }
-                    StoreSlot::Shared(mem) => {
-                        let mut mem = mem.lock().expect("store mutex");
-                        self.mem_pcus[v].on_vault_done(now, id, write, &mut mem, &mut outs);
-                    }
-                }
+                self.mem_pcus[v].on_vault_done(now, id, write, &mut self.store, &mut outs);
                 self.route_mem_pcu(v, &mut outs);
                 self.ob_mpcu = outs;
             }
@@ -1138,15 +1057,7 @@ impl System {
             }
             Ev::HostPcuL1Resp(c, id) => {
                 let mut outs = std::mem::take(&mut self.ob_hpcu);
-                match &mut self.store {
-                    StoreSlot::Owned(mem) => {
-                        self.host_pcus[c].on_l1_resp(now, id, mem, &mut outs);
-                    }
-                    StoreSlot::Shared(mem) => {
-                        let mut mem = mem.lock().expect("store mutex");
-                        self.host_pcus[c].on_l1_resp(now, id, &mut mem, &mut outs);
-                    }
-                }
+                self.host_pcus[c].on_l1_resp(now, id, &mut self.store, &mut outs);
                 self.route_host_pcu(c, &mut outs);
                 self.ob_hpcu = outs;
             }
@@ -1299,17 +1210,6 @@ impl System {
         }
     }
 
-    /// Schedules a cube-owned event: straight onto the global queue in
-    /// sequential runs, into the cube's outbox in sharded runs (where
-    /// the driver delivers it across the epoch barrier).
-    #[inline]
-    fn sched_cube(&mut self, cube: usize, at: Cycle, ev: Ev) {
-        match &mut self.cube_out {
-            None => self.queue.schedule(at, ev),
-            Some(boxes) => boxes[cube].push((at, ev)),
-        }
-    }
-
     /// Schedules a PMU event. While a `PauseAt::FirstPei` warm run is
     /// armed, lowers the warm-stop bound to the earliest PMU delivery:
     /// the run loop re-reads the bound each pop, and pops are monotone
@@ -1328,15 +1228,13 @@ impl System {
         let vpc = self.cfg.hmc.vaults_per_cube;
         for out in outs.drain() {
             match out {
-                // The two host→cube edges of the shard topology: every
-                // other controller output stays host-side.
                 CtrlOut::ToVault { loc, access, at } => {
-                    let ev = Ev::VaultAcc(loc.flat_index(vpc), access);
-                    self.sched_cube(loc.cube.index(), at, ev);
+                    self.queue
+                        .schedule(at, Ev::VaultAcc(loc.flat_index(vpc), access));
                 }
                 CtrlOut::PimToVault { loc, cmd, at } => {
-                    let ev = Ev::MemPcuCmd(loc.flat_index(vpc), Box::new(cmd));
-                    self.sched_cube(loc.cube.index(), at, ev);
+                    self.queue
+                        .schedule(at, Ev::MemPcuCmd(loc.flat_index(vpc), Box::new(cmd)));
                 }
                 CtrlOut::ReadResp { id, block, at } => {
                     let bank = self.bank_of(block);
@@ -1357,19 +1255,47 @@ impl System {
 
     fn route_vault(&mut self, v: usize, outs: &mut Outbox<VaultOut>) {
         let vpc = self.cfg.hmc.vaults_per_cube;
-        let q = &mut self.queue;
         for out in outs.drain() {
-            // Sequentially, cube-local and cube→host messages land on
-            // the same global queue.
-            deliver_vault_out(vpc, v, out, &mut |_, at, ev| q.schedule(at, ev));
+            match out {
+                VaultOut::Done {
+                    id,
+                    block,
+                    write,
+                    at,
+                } => match id.namespace() {
+                    ns::L3 if !write => {
+                        self.queue
+                            .schedule(at, Ev::CtrlMemReadDone(id, block, (v / vpc) as u16));
+                    }
+                    // Writebacks complete silently.
+                    ns::MEM_PCU => {
+                        self.queue.schedule(at, Ev::MemPcuVaultDone(v, id, write));
+                    }
+                    _ => {} // writeback with a null id: no response
+                },
+                VaultOut::Wake { at } => self.queue.schedule(at, Ev::VaultWake(v)),
+            }
         }
     }
 
     fn route_mem_pcu(&mut self, v: usize, outs: &mut Outbox<MemPcuOut>) {
         let vpc = self.cfg.hmc.vaults_per_cube;
-        let q = &mut self.queue;
         for out in outs.drain() {
-            deliver_mem_pcu_out(vpc, v, out, &mut |_, at, ev| q.schedule(at, ev));
+            match out {
+                MemPcuOut::VaultAccess {
+                    id,
+                    block,
+                    write,
+                    at,
+                } => {
+                    self.queue
+                        .schedule(at, Ev::VaultAcc(v, VaultIn { id, block, write }));
+                }
+                MemPcuOut::Complete { resp, at } => {
+                    self.queue
+                        .schedule(at, Ev::CtrlMemPimDone((v / vpc) as u16, Box::new(resp)));
+                }
+            }
         }
     }
 
@@ -1464,17 +1390,8 @@ impl System {
     }
 
     /// Read access to the simulated memory (for result validation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a sharded run is in progress (the store
-    /// is then shared with the cube shards); it is owned again the
-    /// moment `run`/`run_sharded` returns.
     pub fn store(&self) -> &BackingStore {
-        match &self.store {
-            StoreSlot::Owned(mem) => mem,
-            StoreSlot::Shared(_) => panic!("store is shared during a sharded run"),
-        }
+        &self.store
     }
 
     /// Records a violation observed by the routing layer itself (as
@@ -1485,7 +1402,7 @@ impl System {
         self.violations.push(v);
     }
 
-    pub(crate) fn result(&mut self, outcome: RunOutcome) -> RunResult {
+    fn result(&mut self, outcome: RunOutcome) -> RunResult {
         let mut stats = StatsReport::new();
         for c in &self.cores {
             c.report("core.", &mut stats);
@@ -1537,10 +1454,7 @@ impl System {
         let cycles = self.finish_time.max(1);
         stats.add("sim.cycles", cycles as f64);
         stats.add("sim.instructions", instructions as f64);
-        stats.add(
-            "sim.events",
-            (self.queue.total_scheduled() + self.foreign_events.0) as f64,
-        );
+        stats.add("sim.events", self.queue.total_scheduled() as f64);
 
         RunResult {
             cycles,
@@ -1557,82 +1471,6 @@ impl System {
             energy,
             stats,
             outcome,
-        }
-    }
-}
-
-/// Where a cube-side component's output event must be delivered: back
-/// onto the cube's own queue, or across the shard boundary to the host
-/// (the controller's memory side). Sequential runs collapse both onto
-/// the global queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Dest {
-    /// Stays on the queue owning vault `v` (cube-local).
-    Local,
-    /// Crosses to the host shard (link controller completions).
-    Host,
-}
-
-/// Routes one vault output message, shared verbatim between the
-/// sequential loop ([`System::route_vault`]) and the cube shards
-/// (`crate::shard`): the policy of *what* each message becomes lives
-/// here once; only the delivery mechanism differs via `sched`.
-pub(crate) fn deliver_vault_out(
-    vpc: usize,
-    v: usize,
-    out: VaultOut,
-    sched: &mut impl FnMut(Dest, Cycle, Ev),
-) {
-    match out {
-        VaultOut::Done {
-            id,
-            block,
-            write,
-            at,
-        } => match id.namespace() {
-            ns::L3 if !write => {
-                sched(
-                    Dest::Host,
-                    at,
-                    Ev::CtrlMemReadDone(id, block, (v / vpc) as u16),
-                );
-            }
-            // Writebacks complete silently.
-            ns::MEM_PCU => {
-                sched(Dest::Local, at, Ev::MemPcuVaultDone(v, id, write));
-            }
-            _ => {} // writeback with a null id: no response
-        },
-        VaultOut::Wake { at } => sched(Dest::Local, at, Ev::VaultWake(v)),
-    }
-}
-
-/// Routes one memory-side PCU output; see [`deliver_vault_out`].
-pub(crate) fn deliver_mem_pcu_out(
-    vpc: usize,
-    v: usize,
-    out: MemPcuOut,
-    sched: &mut impl FnMut(Dest, Cycle, Ev),
-) {
-    match out {
-        MemPcuOut::VaultAccess {
-            id,
-            block,
-            write,
-            at,
-        } => {
-            sched(
-                Dest::Local,
-                at,
-                Ev::VaultAcc(v, VaultIn { id, block, write }),
-            );
-        }
-        MemPcuOut::Complete { resp, at } => {
-            sched(
-                Dest::Host,
-                at,
-                Ev::CtrlMemPimDone((v / vpc) as u16, Box::new(resp)),
-            );
         }
     }
 }

@@ -44,6 +44,8 @@ pub enum SnapError {
     BadVersion {
         /// The version found in the header.
         found: u16,
+        /// The version this build reads and writes.
+        expected: u16,
     },
     /// A section or value tag did not match what the decoder expected.
     BadTag {
@@ -78,9 +80,10 @@ impl std::fmt::Display for SnapError {
                 write!(f, "snapshot truncated at byte {offset}")
             }
             SnapError::BadMagic => write!(f, "not a snapshot (bad magic)"),
-            SnapError::BadVersion { found } => {
-                write!(f, "unsupported snapshot version {found}")
-            }
+            SnapError::BadVersion { found, expected } => write!(
+                f,
+                "unsupported snapshot version {found} (this build reads version {expected})"
+            ),
             SnapError::BadTag {
                 offset,
                 found,

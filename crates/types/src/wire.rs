@@ -39,7 +39,7 @@ const DEFAULT_SEED: u64 = 0x5eed;
 
 /// A replayable simulation recipe as it travels on the wire: the same
 /// value set `pei-bench` serializes into `.petr` captures
-/// (workload/size/policy/scale/paper/seed/budget/shards), plus the
+/// (workload/size/policy/scale/paper/seed/budget), plus the
 /// checked-mode flag and an optional fault plan for sanitizer tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
@@ -58,8 +58,6 @@ pub struct Recipe {
     pub seed: u64,
     /// Overrides the scale's PEI budget when set.
     pub budget: Option<u64>,
-    /// Run on the sharded engine with this many threads.
-    pub shards: Option<u64>,
     /// Checked mode: sweep the invariant auditors during the run.
     pub check: bool,
     /// Deterministic fault injection: the fault plan's seed. Only
@@ -81,7 +79,6 @@ impl Recipe {
             paper: false,
             seed: DEFAULT_SEED,
             budget: None,
-            shards: None,
             check: false,
             fault_seed: None,
             fault_kinds: Vec::new(),
@@ -99,9 +96,6 @@ impl Recipe {
         ];
         if let Some(b) = self.budget {
             m.push(("budget".to_owned(), Json::from(b)));
-        }
-        if let Some(n) = self.shards {
-            m.push(("shards".to_owned(), Json::from(n)));
         }
         if self.check {
             m.push(("check".to_owned(), Json::from(true)));
@@ -124,6 +118,15 @@ impl Recipe {
     }
 
     fn from_json(v: &Json) -> Result<Recipe, WireError> {
+        // Unknown keys are ignored, but this one used to select another
+        // engine with different cycle counts: running such a recipe
+        // sequentially would silently answer with other numbers.
+        if v.get("shards").is_some() {
+            return Err(bad(
+                "`shards` is no longer accepted: the sharded engine was removed and \
+                 every recipe runs on the sequential engine; drop the key",
+            ));
+        }
         Ok(Recipe {
             workload: req_str(v, "workload")?,
             size: opt_str(v, "size")?.unwrap_or_else(|| "medium".to_owned()),
@@ -132,7 +135,6 @@ impl Recipe {
             paper: opt_bool(v, "paper")?.unwrap_or(false),
             seed: opt_u64(v, "seed")?.unwrap_or(DEFAULT_SEED),
             budget: opt_u64(v, "budget")?,
-            shards: opt_u64(v, "shards")?,
             check: opt_bool(v, "check")?.unwrap_or(false),
             fault_seed: opt_u64(v, "fault_seed")?,
             fault_kinds: match v.get("fault_kinds") {
@@ -354,8 +356,7 @@ pub struct ForkCacheStat {
     /// Jobs whose warmup prefix was below the auto-bypass threshold, so
     /// forking was skipped as not worth the snapshot cost.
     pub bypasses: u64,
-    /// Jobs ineligible for forking (fault plans, sharded engine,
-    /// traced runs).
+    /// Jobs ineligible for forking (fault plans, traced runs).
     pub ineligible: u64,
     /// Warm snapshots evicted to stay inside the byte budget. An
     /// evicted key simply misses again later — eviction never changes
@@ -878,7 +879,6 @@ mod tests {
             paper: true,
             seed: u64::MAX - 5,
             budget: Some(1234),
-            shards: Some(4),
             check: true,
             fault_seed: Some(9),
             fault_kinds: vec!["wedge-vault".into()],
@@ -1121,6 +1121,12 @@ mod tests {
         assert!(err.to_string().contains("`job`"), "{err}");
         let err = Request::decode("[1,2]").unwrap_err();
         assert!(err.to_string().contains("object"), "{err}");
+        let err = Request::decode(r#"{"type":"submit","recipe":{"workload":"atf","shards":4}}"#)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("sharded engine was removed"),
+            "{err}"
+        );
         let err = Response::decode(r#"{"type":"result","job":1}"#).unwrap_err();
         assert!(err.to_string().contains("offchip_flits"), "{err}");
     }
