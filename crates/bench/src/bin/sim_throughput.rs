@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use pei_bench::runner::RunSpec;
-use pei_bench::{ExpOptions, Scale};
+use pei_bench::{flag_number, flag_value, parse_args_or_exit, ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_trace::NullSink;
 use pei_workloads::{InputSize, Workload};
@@ -80,7 +80,10 @@ struct Args {
     fork_bench: bool,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "[--scale quick|full] [--paper] [--seed <n>] [--repeat <n>] \
+                     [--label <s>] [--out <path>] [--traced] [--checked] [--fork-bench]";
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut opts = ExpOptions {
         jobs: 1,
         ..ExpOptions::default()
@@ -91,44 +94,30 @@ fn parse_args() -> Args {
     let mut traced = false;
     let mut checked = false;
     let mut fork_bench = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                let v = args.next().expect("--scale needs quick|full");
-                opts.scale = match v.as_str() {
-                    "quick" => Scale::Quick,
-                    "full" => Scale::Full,
-                    other => panic!("unknown scale `{other}` (quick|full)"),
-                };
+                let v = flag_value(&mut args, "--scale")?;
+                opts.scale = Scale::parse(&v).ok_or(format!("unknown scale `{v}` (quick|full)"))?;
             }
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .expect("--seed needs a number")
-                    .parse()
-                    .expect("seed must be an integer");
-            }
+            "--seed" => opts.seed = flag_number(&mut args, "--seed")?,
             "--repeat" => {
-                repeat = args
-                    .next()
-                    .expect("--repeat needs a number")
-                    .parse()
-                    .expect("repeat must be an integer");
-                assert!(repeat >= 1, "--repeat must be at least 1");
+                repeat = flag_number(&mut args, "--repeat")?;
+                if repeat == 0 {
+                    return Err("--repeat must be at least 1".to_owned());
+                }
             }
-            "--label" => label = args.next().expect("--label needs a string"),
-            "--out" => out = args.next().expect("--out needs a path"),
+            "--label" => label = flag_value(&mut args, "--label")?,
+            "--out" => out = flag_value(&mut args, "--out")?,
             "--traced" => traced = true,
             "--checked" => checked = true,
             "--fork-bench" => fork_bench = true,
             "--paper" => opts.paper_machine = true,
-            other => panic!(
-                "unknown argument `{other}` (--scale, --paper, --seed, --repeat, --label, --out, --traced, --checked, --fork-bench)"
-            ),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Args {
+    Ok(Args {
         opts,
         repeat,
         label,
@@ -136,7 +125,7 @@ fn parse_args() -> Args {
         traced,
         checked,
         fork_bench,
-    }
+    })
 }
 
 struct Measured {
@@ -336,7 +325,7 @@ fn write_record(args: &Args, runs: &[Measured]) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args_or_exit(USAGE, parse_args);
     if args.fork_bench {
         let runs = run_fork_bench(&args);
         print_header();

@@ -21,7 +21,7 @@
 
 use pei_bench::bisect::{bisect, BisectOutcome};
 use pei_bench::runner::RunSpec;
-use pei_bench::{ExpOptions, Scale};
+use pei_bench::{flag_number, flag_value, ExpOptions, Scale};
 use pei_core::DispatchPolicy;
 use pei_workloads::{InputSize, Workload};
 
@@ -65,30 +65,28 @@ fn parse_cli() -> Result<Cli, String> {
     let mut saw_workload = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
             "-w" | "--workload" => {
-                cli.workload = pei_bench::tracecap::parse_workload(&value("--workload")?)
-                    .ok_or("unknown workload")?;
+                cli.workload =
+                    pei_bench::tracecap::parse_workload(&flag_value(&mut it, "--workload")?)
+                        .ok_or("unknown workload")?;
                 saw_workload = true;
             }
             "-s" | "--size" => {
-                cli.size =
-                    pei_bench::tracecap::parse_size(&value("--size")?).ok_or("unknown size")?;
+                cli.size = pei_bench::tracecap::parse_size(&flag_value(&mut it, "--size")?)
+                    .ok_or("unknown size")?;
             }
-            "--seed" => cli.opts.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--budget" => {
-                cli.budget = Some(value("--budget")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--seed" => cli.opts.seed = flag_number(&mut it, "--seed")?,
+            "--budget" => cli.budget = Some(flag_number(&mut it, "--budget")?),
             "--scale" => {
-                cli.opts.scale =
-                    Scale::parse(&value("--scale")?).ok_or("unknown scale (quick|full)")?;
+                cli.opts.scale = Scale::parse(&flag_value(&mut it, "--scale")?)
+                    .ok_or("unknown scale (quick|full)")?;
             }
             "--paper" => cli.opts.paper_machine = true,
             "--check" => cli.opts.check = true,
-            "--a" => cli.a = value("--a")?,
-            "--b" => cli.b = value("--b")?,
-            "--grain" => cli.grain = value("--grain")?.parse().map_err(|e| format!("{e}"))?,
+            "--a" => cli.a = flag_value(&mut it, "--a")?,
+            "--b" => cli.b = flag_value(&mut it, "--b")?,
+            "--grain" => cli.grain = flag_number(&mut it, "--grain")?,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);

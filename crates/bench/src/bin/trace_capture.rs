@@ -18,11 +18,11 @@
 //! ```
 
 use pei_bench::tracecap::{self, CaptureSpec};
-use pei_bench::Scale;
+use pei_bench::{flag_number, flag_value, parse_args_or_exit, Scale};
 use pei_core::DispatchPolicy;
 use pei_trace::{perfetto, Trace};
 
-const USAGE: &str = "trace_capture --workload <W> --size <S> --policy <P> \
+const USAGE: &str = "--workload <W> --size <S> --policy <P> \
      [--scale quick|full] [--paper] [--seed <n>] [--budget <n>] -o <out.petr> \
      [--perfetto <out.json>] | --replay <in.petr> | --export <in.petr> --perfetto <out.json>";
 
@@ -34,7 +34,7 @@ struct Args {
     export: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut spec = CaptureSpec {
         workload: pei_workloads::Workload::Atf,
         size: pei_workloads::InputSize::Medium,
@@ -48,61 +48,52 @@ fn parse_args() -> Args {
     let mut perfetto = None;
     let mut replay = None;
     let mut export = None;
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value\nusage: {USAGE}"))
-    };
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--workload" => {
-                let v = next(&mut args, "--workload");
+                let v = flag_value(&mut args, "--workload")?;
                 spec.workload = tracecap::parse_workload(&v)
-                    .unwrap_or_else(|| panic!("unknown workload `{v}` (ATF, BFS, …, SVM)"));
+                    .ok_or(format!("unknown workload `{v}` (ATF, BFS, …, SVM)"))?;
             }
             "--size" => {
-                let v = next(&mut args, "--size");
+                let v = flag_value(&mut args, "--size")?;
                 spec.size = tracecap::parse_size(&v)
-                    .unwrap_or_else(|| panic!("unknown size `{v}` (small|medium|large)"));
+                    .ok_or(format!("unknown size `{v}` (small|medium|large)"))?;
             }
             "--policy" => {
-                let v = next(&mut args, "--policy");
-                spec.policy = tracecap::parse_policy(&v).unwrap_or_else(|| {
-                    panic!("unknown policy `{v}` (host-only|pim-only|locality-aware|locality-aware-balanced)")
-                });
+                let v = flag_value(&mut args, "--policy")?;
+                spec.policy = tracecap::parse_policy(&v).ok_or(format!(
+                    "unknown policy `{v}` (host-only|pim-only|locality-aware|locality-aware-balanced)"
+                ))?;
             }
             "--scale" => {
-                let v = next(&mut args, "--scale");
-                spec.scale =
-                    Scale::parse(&v).unwrap_or_else(|| panic!("unknown scale `{v}` (quick|full)"));
+                let v = flag_value(&mut args, "--scale")?;
+                spec.scale = Scale::parse(&v).ok_or(format!("unknown scale `{v}` (quick|full)"))?;
             }
             "--paper" => spec.paper_machine = true,
-            "--seed" => {
-                spec.seed = next(&mut args, "--seed")
-                    .parse()
-                    .expect("seed must be an integer");
-            }
-            "--budget" => {
-                spec.pei_budget = Some(
-                    next(&mut args, "--budget")
-                        .parse()
-                        .expect("budget must be an integer"),
-                );
-            }
-            "-o" | "--out" => out = Some(next(&mut args, "-o")),
-            "--perfetto" => perfetto = Some(next(&mut args, "--perfetto")),
-            "--replay" => replay = Some(next(&mut args, "--replay")),
-            "--export" => export = Some(next(&mut args, "--export")),
-            other => panic!("unknown argument `{other}`\nusage: {USAGE}"),
+            "--seed" => spec.seed = flag_number(&mut args, "--seed")?,
+            "--budget" => spec.pei_budget = Some(flag_number(&mut args, "--budget")?),
+            "-o" | "--out" => out = Some(flag_value(&mut args, "-o")?),
+            "--perfetto" => perfetto = Some(flag_value(&mut args, "--perfetto")?),
+            "--replay" => replay = Some(flag_value(&mut args, "--replay")?),
+            "--export" => export = Some(flag_value(&mut args, "--export")?),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Args {
+    if export.is_some() && perfetto.is_none() {
+        return Err("--export needs --perfetto <out.json>".to_owned());
+    }
+    if replay.is_none() && export.is_none() && out.is_none() {
+        return Err("capture mode needs -o <out.petr>".to_owned());
+    }
+    Ok(Args {
         spec,
         out,
         perfetto,
         replay,
         export,
-    }
+    })
 }
 
 fn load(path: &str) -> Trace {
@@ -111,7 +102,7 @@ fn load(path: &str) -> Trace {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args_or_exit(USAGE, parse_args);
 
     if let Some(path) = &args.replay {
         let t = load(path);
@@ -137,10 +128,7 @@ fn main() {
     }
 
     if let Some(path) = &args.export {
-        let json_path = args
-            .perfetto
-            .as_deref()
-            .unwrap_or_else(|| panic!("--export needs --perfetto <out.json>\nusage: {USAGE}"));
+        let json_path = args.perfetto.as_deref().expect("checked by parse_args");
         let t = load(path);
         let json = perfetto::chrome_trace_json(&t);
         std::fs::write(json_path, json).unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
@@ -148,10 +136,7 @@ fn main() {
         return;
     }
 
-    let out = args
-        .out
-        .as_deref()
-        .unwrap_or_else(|| panic!("capture mode needs -o <out.petr>\nusage: {USAGE}"));
+    let out = args.out.as_deref().expect("checked by parse_args");
     let (result, trace) = args.spec.capture();
     std::fs::write(out, trace.to_bytes()).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(

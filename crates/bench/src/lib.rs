@@ -129,21 +129,55 @@ pub fn default_jobs() -> usize {
 pub const USAGE: &str = "[--scale quick|full] [--paper] [--seed <n>] [--jobs <n>] \
                          [--trace <out.petr>] [--check] [--no-fork]";
 
+/// Parses the process arguments (without the program name) with
+/// `parse`. On an error, prints it and `usage: <program> <usage>` to
+/// stderr and exits with status 2 (the figure binaries,
+/// `sim_throughput` and `trace_capture` all fail this way).
+pub fn parse_args_or_exit<T>(
+    usage: &str,
+    parse: impl FnOnce(std::iter::Skip<std::env::Args>) -> Result<T, String>,
+) -> T {
+    parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let prog = std::env::args().next().unwrap_or_default();
+        let prog = std::path::Path::new(&prog)
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or(&prog);
+        eprintln!("error: {e}");
+        eprintln!("usage: {prog} {usage}");
+        std::process::exit(2)
+    })
+}
+
+/// The value following `flag`, or an error naming the flag.
+///
+/// # Errors
+///
+/// `"<flag> needs a value"` when the arguments end.
+pub fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// The integer following `flag`, or an error naming the flag and the
+/// bad value.
+///
+/// # Errors
+///
+/// As [`flag_value`], or `"<flag> needs an integer, got `<v>`"`.
+pub fn flag_number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = flag_value(args, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs an integer, got `{v}`"))
+}
+
 impl ExpOptions {
     /// Parses `std::env::args()`. On a bad argument, prints the error
     /// and the usage line to stderr and exits with status 2.
     pub fn from_args() -> Self {
-        let mut args = std::env::args();
-        let prog = args.next().unwrap_or_default();
-        ExpOptions::parse(args).unwrap_or_else(|e| {
-            let prog = std::path::Path::new(&prog)
-                .file_name()
-                .and_then(|n| n.to_str())
-                .unwrap_or(&prog);
-            eprintln!("error: {e}");
-            eprintln!("usage: {prog} {USAGE}");
-            std::process::exit(2)
-        })
+        parse_args_or_exit(USAGE, ExpOptions::parse)
     }
 
     /// Parses figure-binary arguments (without the program name).
@@ -153,35 +187,24 @@ impl ExpOptions {
     /// Names the offending argument: an unknown flag, a missing or
     /// malformed value, or `--jobs 0`.
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        }
-        fn number<T: std::str::FromStr>(
-            args: &mut impl Iterator<Item = String>,
-            flag: &str,
-        ) -> Result<T, String> {
-            let v = value(args, flag)?;
-            v.parse()
-                .map_err(|_| format!("{flag} needs an integer, got `{v}`"))
-        }
         let mut opts = ExpOptions::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--scale" => {
-                    let v = value(&mut args, "--scale")?;
+                    let v = flag_value(&mut args, "--scale")?;
                     opts.scale =
                         Scale::parse(&v).ok_or(format!("unknown scale `{v}` (quick|full)"))?;
                 }
                 "--paper" => opts.paper_machine = true,
-                "--seed" => opts.seed = number(&mut args, "--seed")?,
+                "--seed" => opts.seed = flag_number(&mut args, "--seed")?,
                 "--jobs" => {
-                    opts.jobs = number(&mut args, "--jobs")?;
+                    opts.jobs = flag_number(&mut args, "--jobs")?;
                     if opts.jobs == 0 {
                         return Err("--jobs must be at least 1".to_owned());
                     }
                 }
-                "--trace" => opts.trace = Some(value(&mut args, "--trace")?.into()),
+                "--trace" => opts.trace = Some(flag_value(&mut args, "--trace")?.into()),
                 "--check" => opts.check = true,
                 "--no-fork" => opts.no_fork = true,
                 other => return Err(format!("unknown argument `{other}`")),

@@ -5,12 +5,18 @@
 //! reference implementations and the simulated PCUs read/write the same
 //! bytes, which is what lets integration tests check that PEI execution
 //! produces bit-identical results to a sequential reference run.
+//!
+//! Generators that fill whole arrays write through a [`SeqWriter`], which
+//! stages a bounded run of bytes and stores it a page at a time instead
+//! of resolving a page per scalar.
 
 use pei_types::{Addr, BlockAddr, BLOCK_BYTES};
 use std::collections::HashMap;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
+/// Bytes a [`SeqWriter`] stages before storing them (16 pages).
+const STAGE_BYTES: usize = 64 * 1024;
 
 /// Sparse paged physical memory plus a bump allocator for simulated heaps.
 ///
@@ -120,6 +126,35 @@ impl BackingStore {
             self.page_mut(a)[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
             a += n as u64;
+        }
+    }
+
+    /// Starts a sequential write at `addr`: successive `put_*` calls
+    /// land at consecutive addresses, exactly as the matching `write_*`
+    /// calls would, but pages are resolved once per staged run rather than
+    /// once per value. Staged bytes reach the store every 64 KiB and when
+    /// the writer is dropped.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pei_mem::BackingStore;
+    ///
+    /// let mut mem = BackingStore::new();
+    /// let a = mem.alloc(16, 64);
+    /// {
+    ///     let mut w = mem.seq_writer(a);
+    ///     w.put_u64(7);
+    ///     w.put_f64(0.5);
+    /// }
+    /// assert_eq!(mem.read_u64(a), 7);
+    /// assert_eq!(mem.read_f64(a.offset(8)), 0.5);
+    /// ```
+    pub fn seq_writer(&mut self, addr: Addr) -> SeqWriter<'_> {
+        SeqWriter {
+            store: self,
+            at: addr,
+            buf: Vec::with_capacity(STAGE_BYTES),
         }
     }
 
@@ -252,6 +287,58 @@ impl BackingStore {
     }
 }
 
+/// Writes consecutive bytes into a [`BackingStore`] through a bounded
+/// staging buffer; see [`BackingStore::seq_writer`].
+#[derive(Debug)]
+pub struct SeqWriter<'a> {
+    store: &'a mut BackingStore,
+    /// Address of `buf[0]`.
+    at: Addr,
+    buf: Vec<u8>,
+}
+
+impl SeqWriter<'_> {
+    /// Appends `data`.
+    pub fn put_bytes(&mut self, data: &[u8]) {
+        self.buf.extend_from_slice(data);
+        if self.buf.len() >= STAGE_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Appends a little-endian `u64`.
+    pub fn put_u64(&mut self, v: u64) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends an `f64`.
+    pub fn put_f64(&mut self, v: f64) {
+        self.put_u64(v.to_bits());
+    }
+
+    /// Appends a little-endian `u32`.
+    pub fn put_u32(&mut self, v: u32) {
+        self.put_bytes(&v.to_le_bytes());
+    }
+
+    /// Appends an `f32`.
+    pub fn put_f32(&mut self, v: f32) {
+        self.put_u32(v.to_bits());
+    }
+
+    fn flush(&mut self) {
+        self.store.write_bytes(self.at, &self.buf);
+        self.at = self.at.offset(self.buf.len() as u64);
+        self.buf.clear();
+    }
+}
+
+impl Drop for SeqWriter<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,6 +375,41 @@ mod tests {
         mem.read_bytes(addr, &mut back);
         assert_eq!(&back[..], &data[..]);
         assert_eq!(mem.resident_pages(), 2);
+    }
+
+    #[test]
+    fn seq_writer_matches_scalar_writes() {
+        // Straddles several staging runs and an unaligned page boundary.
+        let base = Addr(3 * PAGE_BYTES as u64 - 12);
+        let n = (2 * STAGE_BYTES / 8 + 5) as u64;
+        let mut scalar = BackingStore::new();
+        let mut seq = BackingStore::new();
+        {
+            let mut w = seq.seq_writer(base);
+            for i in 0..n {
+                scalar.write_u64(base.offset(i * 8), i * 0x9e37 + 1);
+                w.put_u64(i * 0x9e37 + 1);
+            }
+            w.put_f32(1.5);
+            w.put_bytes(&[9; 3]);
+        }
+        scalar.write_f32(base.offset(n * 8), 1.5);
+        scalar.write_bytes(base.offset(n * 8 + 4), &[9; 3]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        scalar.save(&mut a).unwrap();
+        seq.save(&mut b).unwrap();
+        assert!(
+            a == b,
+            "sequential and scalar writes produced different images"
+        );
+    }
+
+    #[test]
+    fn empty_seq_writer_touches_nothing() {
+        let mut mem = BackingStore::new();
+        let a = mem.alloc(64, 64);
+        drop(mem.seq_writer(a));
+        assert_eq!(mem.resident_pages(), 0);
     }
 
     #[test]

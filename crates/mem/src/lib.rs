@@ -46,7 +46,7 @@ pub mod mshr;
 pub mod private;
 pub mod xbar;
 
-pub use backing::BackingStore;
+pub use backing::{BackingStore, SeqWriter};
 pub use cache::{CacheArray, LineState, LookupResult};
 pub use config::{CacheConfig, MemHierarchyConfig};
 pub use l3::L3Bank;

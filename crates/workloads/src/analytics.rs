@@ -82,16 +82,21 @@ impl HashJoin {
         // Materialize in simulated memory.
         let mut store = BackingStore::with_base(params.heap_base);
         let bucket_base = store.alloc((buckets.len() * BLOCK_BYTES) as u64, 64);
-        for (i, b) in buckets.iter().enumerate() {
-            let base = bucket_base.offset((i * BLOCK_BYTES) as u64);
+        // Each bucket is one block: its keys, zero padding, then the
+        // next-bucket pointer.
+        let mut w = store.seq_writer(bucket_base);
+        for b in &buckets {
+            let mut block = [0u8; BLOCK_BYTES];
             for (s, &k) in b.keys.iter().enumerate() {
-                store.write_u64(base.offset(s as u64 * 8), k);
+                block[s * 8..s * 8 + 8].copy_from_slice(&k.to_le_bytes());
             }
             let next_addr = b
                 .next
                 .map_or(0, |nb| bucket_base.offset(nb as u64 * BLOCK_BYTES as u64).0);
-            store.write_u64(base.offset(NEXT_OFFSET), next_addr);
+            block[NEXT_OFFSET as usize..].copy_from_slice(&next_addr.to_le_bytes());
+            w.put_bytes(&block);
         }
+        drop(w);
         // Probe stream: half hits, half misses, shuffled.
         let n_probes = (params.pei_budget.min(4_000_000) as usize).max(64);
         let probes: Vec<u64> = (0..n_probes)
@@ -272,9 +277,11 @@ impl HistogramW {
         let data: Vec<u32> = (0..n_ints).map(|_| rng.gen()).collect();
         let mut store = BackingStore::with_base(params.heap_base);
         let data_base = store.alloc(n_ints as u64 * 4, 64);
-        for (i, &v) in data.iter().enumerate() {
-            store.write_u32(data_base.offset(i as u64 * 4), v);
+        let mut w = store.seq_writer(data_base);
+        for &v in &data {
+            w.put_u32(v);
         }
+        drop(w);
         let hist_base = store.alloc(256 * 8, 64);
         let out_base = partition.then(|| store.alloc(n_ints as u64 * 4, 64));
         let shift = 24u8; // top byte of each word selects the bin

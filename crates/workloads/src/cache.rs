@@ -4,8 +4,10 @@
 //! configurations (Ideal-Host, Host-Only, PIM-Only, Locality-Aware), and
 //! the five graph workloads of one input size all read the same
 //! power-law graph (Table 3). Without sharing, every `Workload::build`
-//! call regenerates that graph from scratch — an `O(E log E)` edge sort
-//! that dominates setup time at paper scale. This module interns
+//! call regenerates that graph from scratch: a large input on the
+//! scaled machine (350 K vertices, 3.5 M edge draws) takes 115–195 ms
+//! on a 2-vCPU Xeon, spent drawing the edges and bucketing them into
+//! the CSR (EXPERIMENTS.md, "Input generation"). This module interns
 //! generated graphs behind [`Arc`]s keyed by their full generation
 //! parameters `(n, avg_deg, seed)`, so regeneration happens once per
 //! distinct input no matter how many configurations, workloads, or
@@ -18,8 +20,12 @@
 //! contract").
 //!
 //! Non-graph inputs (hash-join relations, point sets, ...) are generated
-//! inline by their workload constructors in a single linear pass; they
-//! are cheap relative to graph construction and stay uncached.
+//! inline by their workload constructors and stay uncached. They are not
+//! cheap: at large size on the paper machine, HJ takes 0.8–1.2 s and SVM
+//! 0.3–0.4 s to build on the same host, 2–10× a large scaled-machine
+//! graph. But their product is the simulated memory image itself (up to
+//! 270 MiB), which every run owns and mutates, so caching them would
+//! keep that image resident between runs.
 //!
 //! # Examples
 //!

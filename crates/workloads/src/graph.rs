@@ -41,39 +41,22 @@ impl Graph {
     }
 
     /// Generates a power-law graph with `n` vertices and roughly
-    /// `n * avg_deg` edges.
+    /// `n * avg_deg` edges (duplicate edges and self-loops dropped).
     ///
     /// Destinations are drawn from a Zipf-like distribution
     /// (`dst ∝ u^alpha` over a random permutation), producing the
     /// heavy-tailed in-degree skew of social graphs; sources are uniform.
+    /// Each row of the CSR lists its successors in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn power_law(n: usize, avg_deg: usize, seed: u64) -> Graph {
         assert!(n > 0, "graph must have vertices");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Random permutation: vertex popularity rank -> vertex id.
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
-        let m = n * avg_deg;
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let src = rng.gen_range(0..n as u32);
-            // u^3 concentrates mass on low ranks: P(rank r) ~ r^(-2/3)
-            // tail, a recognizable power law.
-            let u: f64 = rng.gen_range(0.0f64..1.0);
-            let rank = ((u * u * u) * n as f64) as usize;
-            let dst = perm[rank.min(n - 1)];
-            if src != dst {
-                edges.push((src, dst));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
+        let edges = draw_edges(n, avg_deg, seed);
+        // CSR by counting sort: bucket each destination under its source,
+        // then sort and dedup each (short) row in place. Equal to sorting
+        // and deduplicating the global (src, dst) pair list, in O(E).
         let mut xadj = vec![0u32; n + 1];
         for &(s, _) in &edges {
             xadj[s as usize + 1] += 1;
@@ -81,9 +64,62 @@ impl Graph {
         for i in 0..n {
             xadj[i + 1] += xadj[i];
         }
-        let adj = edges.into_iter().map(|(_, d)| d).collect();
+        let mut fill = xadj[..n].to_vec();
+        let mut adj = vec![0u32; edges.len()];
+        for &(s, d) in &edges {
+            adj[fill[s as usize] as usize] = d;
+            fill[s as usize] += 1;
+        }
+        drop(edges);
+        drop(fill);
+        // Compact the deduplicated rows towards the front; the write
+        // cursor never passes the row being read.
+        let mut kept = 0usize;
+        let mut row_start = 0usize;
+        for v in 0..n {
+            let row_end = xadj[v + 1] as usize;
+            adj[row_start..row_end].sort_unstable();
+            let row_first = kept;
+            for i in row_start..row_end {
+                let d = adj[i];
+                if kept == row_first || adj[kept - 1] != d {
+                    adj[kept] = d;
+                    kept += 1;
+                }
+            }
+            xadj[v + 1] = kept as u32;
+            row_start = row_end;
+        }
+        adj.truncate(kept);
+        adj.shrink_to_fit();
         Graph { n, xadj, adj }
     }
+}
+
+/// The raw `(src, dst)` draws of [`Graph::power_law`], in draw order:
+/// self-loops dropped, duplicates kept.
+fn draw_edges(n: usize, avg_deg: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Random permutation: vertex popularity rank -> vertex id.
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        let j = rng.gen_range(0..=i);
+        perm.swap(i, j);
+    }
+    let m = n * avg_deg;
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+    for _ in 0..m {
+        let src = rng.gen_range(0..n as u32);
+        // u^3 concentrates mass on low ranks: P(rank r) ~ r^(-2/3)
+        // tail, a recognizable power law.
+        let u: f64 = rng.gen_range(0.0f64..1.0);
+        let rank = ((u * u * u) * n as f64) as usize;
+        let dst = perm[rank.min(n - 1)];
+        if src != dst {
+            edges.push((src, dst));
+        }
+    }
+    edges
 }
 
 /// Addresses of a graph's data structures in simulated memory: the CSR
@@ -132,6 +168,54 @@ impl GraphLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original CSR build: sort and dedup the global pair list.
+    fn reference_power_law(n: usize, avg_deg: usize, seed: u64) -> Graph {
+        let mut edges = draw_edges(n, avg_deg, seed);
+        edges.sort_unstable();
+        edges.dedup();
+        let mut xadj = vec![0u32; n + 1];
+        for &(s, _) in &edges {
+            xadj[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            xadj[i + 1] += xadj[i];
+        }
+        let adj = edges.into_iter().map(|(_, d)| d).collect();
+        Graph { n, xadj, adj }
+    }
+
+    fn assert_matches_reference(n: usize, avg_deg: usize, seed: u64) {
+        let got = Graph::power_law(n, avg_deg, seed);
+        let want = reference_power_law(n, avg_deg, seed);
+        assert_eq!(got.xadj, want.xadj, "xadj of ({n}, {avg_deg}, {seed})");
+        assert_eq!(got.adj, want.adj, "adj of ({n}, {avg_deg}, {seed})");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The counting-sort build equals the global sort on any input.
+        #[test]
+        fn power_law_equals_global_sort(n in 1usize..3000, deg in 0usize..16, seed in any::<u64>()) {
+            assert_matches_reference(n, deg, seed);
+        }
+
+        /// Tiny vertex sets with dense draws: most edges are duplicates
+        /// or self-loops, so dedup carries the result.
+        #[test]
+        fn power_law_equals_global_sort_when_dense(n in 1usize..12, deg in 1usize..200, seed in any::<u64>()) {
+            assert_matches_reference(n, deg, seed);
+        }
+    }
+
+    #[test]
+    fn power_law_equals_global_sort_at_edges() {
+        for (n, deg) in [(1, 0), (1, 10), (2, 1), (2, 64), (3, 500), (20_000, 10)] {
+            assert_matches_reference(n, deg, 0x5eed);
+        }
+    }
 
     #[test]
     fn csr_is_well_formed() {

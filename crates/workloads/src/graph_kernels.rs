@@ -239,9 +239,11 @@ impl Pagerank {
         let n = g.n;
         let init = 1.0 / n as f64;
         let base = 0.15 / n as f64;
-        for v in 0..n {
-            store.write_f64(layout.field_addr(Self::FIELD_NEXT, v), base);
+        let mut w = store.seq_writer(layout.field_addr(Self::FIELD_NEXT, 0));
+        for _ in 0..n {
+            w.put_f64(base);
         }
+        drop(w);
         let pr = Pagerank {
             g,
             layout,
@@ -427,9 +429,11 @@ impl FrontierMin {
         let n = g.n;
         let mut dist = vec![u64::MAX; n];
         dist[src] = 0;
-        for (v, d) in dist.iter().enumerate() {
-            store.write_u64(layout.field_addr(Self::FIELD_DIST, v), *d);
+        let mut w = store.seq_writer(layout.field_addr(Self::FIELD_DIST, 0));
+        for &d in &dist {
+            w.put_u64(d);
         }
+        drop(w);
         let k = FrontierMin {
             g,
             layout,
@@ -578,9 +582,11 @@ impl Wcc {
         let layout = GraphLayout::alloc(&mut store, &g, 1);
         let n = g.n;
         let label: Vec<u64> = (0..n as u64).collect();
-        for (v, l) in label.iter().enumerate() {
-            store.write_u64(layout.field_addr(Self::FIELD_LABEL, v), *l);
+        let mut w = store.seq_writer(layout.field_addr(Self::FIELD_LABEL, 0));
+        for &l in &label {
+            w.put_u64(l);
         }
+        drop(w);
         let w = Wcc {
             g,
             layout,

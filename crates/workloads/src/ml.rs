@@ -44,14 +44,17 @@ impl StreamCluster {
         let mut store = BackingStore::with_base(params.heap_base);
         let points_base = store.alloc((n_points * BLOCK_BYTES) as u64, 64);
         let mut points = Vec::with_capacity(n_points);
-        for p in 0..n_points {
+        let mut w = store.seq_writer(points_base);
+        for _ in 0..n_points {
+            // One point fills one block.
             let mut pt = [0f32; 16];
-            for (d, x) in pt.iter_mut().enumerate() {
+            for x in &mut pt {
                 *x = rng.gen_range(-10.0f32..10.0);
-                store.write_f32(points_base.offset((p * BLOCK_BYTES + d * 4) as u64), *x);
+                w.put_f32(*x);
             }
             points.push(pt);
         }
+        drop(w);
         let centers = (0..Self::CENTERS)
             .map(|_| {
                 let mut c = [0f32; 16];
@@ -163,7 +166,8 @@ pub struct SvmRfe {
     n_instances: usize,
     dims: usize,
     w: Vec<f64>,
-    x: Vec<Vec<f64>>,
+    /// Instance vectors, row-major with stride `dims`.
+    x: Vec<f64>,
     cursor: usize,
     passes_left: usize,
     threads: usize,
@@ -188,21 +192,20 @@ impl SvmRfe {
         let n_instances = (footprint / (blocks_per_instance * BLOCK_BYTES)).max(8);
         let mut store = BackingStore::with_base(params.heap_base);
         let x_base = store.alloc((n_instances * blocks_per_instance * BLOCK_BYTES) as u64, 64);
-        let mut x = Vec::with_capacity(n_instances);
-        for i in 0..n_instances {
-            let mut inst = Vec::with_capacity(dims);
-            for d in 0..dims {
-                let v: f64 = rng.gen_range(-1.0..1.0);
-                inst.push(v);
-                let blk = d / 4;
-                let off = (d % 4) * 8;
-                store.write_f64(
-                    x_base.offset(((i * blocks_per_instance + blk) * BLOCK_BYTES + off) as u64),
-                    v,
-                );
+        let mut x = Vec::with_capacity(n_instances * dims);
+        let mut w = store.seq_writer(x_base);
+        for _ in 0..n_instances {
+            // Each block holds a 4-dimension chunk, then 32 zero bytes.
+            for _ in 0..blocks_per_instance {
+                for _ in 0..4 {
+                    let v: f64 = rng.gen_range(-1.0..1.0);
+                    x.push(v);
+                    w.put_f64(v);
+                }
+                w.put_bytes(&[0; BLOCK_BYTES - 32]);
             }
-            x.push(inst);
         }
+        drop(w);
         let w: Vec<f64> = (0..dims).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let svm = SvmRfe {
             x_base,
@@ -229,7 +232,11 @@ impl SvmRfe {
 
     /// Reference dot product `w · x[i]`.
     pub fn reference_dot(&self, i: usize) -> f64 {
-        self.x[i].iter().zip(&self.w).map(|(a, b)| a * b).sum()
+        self.x[i * self.dims..(i + 1) * self.dims]
+            .iter()
+            .zip(&self.w)
+            .map(|(a, b)| a * b)
+            .sum()
     }
 
     /// Instance count.
